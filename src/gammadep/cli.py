@@ -56,9 +56,10 @@ EXIT_ORACLE = 4
 
 
 def read_csv(path: str):
-    """Headered CSV to (header, float matrix). Number parsing is plain
-    float(): decimal point only, never locale-dependent. Parse failures
-    report the 1-based file line."""
+    """Headered CSV to (header, float matrix). Number parsing is float()
+    without underscore digit grouping: decimal point only, surrounding
+    whitespace allowed, never locale-dependent. Parse failures report the
+    1-based file line."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -77,6 +78,10 @@ def read_csv(path: str):
             if len(row) != len(header):
                 raise fail("PARSE", f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
+                # float() alone would also take underscore digit grouping
+                if "_" in "".join(row):
+                    bad = next(v for v in row if "_" in v)
+                    raise ValueError(f"underscore digit grouping is not accepted: {bad!r}")
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise fail("PARSE", f"{path}:{lineno}: {exc}") from None

@@ -7,12 +7,13 @@ Permutation flow for one sample (B replicates):
 2. for b = 1..B permute the y rows only and recompute the statistics
    (kernel matrices are built once: permuting y rows permutes the rows and
    columns of B, so each replicate is a gather plus O(n^2) reductions);
-3. per-exponent p-values for all B+1 pool members by leave-one-out ranking
-   inside the shared pool, with the add-one rule (1 + count)/(B + 1);
-4. combined statistics (fisher / min / cauchy) for every pool member from
-   its p-value vector;
-5. combined p-value for the original by ranking its combined statistic
-   against the B permuted ones, add-one again.
+3. a (B+1) x L matrix of per-exponent p-values, one row per pool member,
+   each column ranked leave-one-out inside the shared pool with the add-one
+   rule (1 + count)/(B + 1);
+4. combined statistics (fisher / min / cauchy) for every pool member, each
+   one reduction over the rows of that matrix;
+5. combined p-value for the original: row 0 of the same add-one ranking
+   applied to the column of combined statistics.
 
 Every permutation is a pure function of (seed, b) through a counter-based
 generator, so reports are identical regardless of thread count or
@@ -22,6 +23,7 @@ execution order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -89,49 +91,28 @@ class PermutationPlan:
         return rng.permutation(n)
 
 
-@dataclass(frozen=True)
-class PValueVector:
-    """Per-exponent p-values in candidate-set order."""
-
-    gammas: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.gammas) != len(self.values):
-            raise fail("BAD_PLAN", "gamma/value length mismatch")
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def per_gamma(self) -> dict:
-        return {g: p for g, p in zip(self.gammas, self.values)}
-
-
-def _pvals(p) -> np.ndarray:
-    return np.asarray(list(p), dtype=np.float64)
-
-
-def combine_fisher(p) -> float:
-    """Sum of -2 log p; larger means more evidence against independence."""
-    arr = _pvals(p)
+def combine_fisher(p):
+    """Sum of -2 log p over the last axis; larger means more evidence
+    against independence. A (B+1) x L matrix gives one statistic per row."""
+    arr = np.asarray(p, dtype=np.float64)
     if np.any(arr <= 0.0):
         raise fail("ZERO_P", "fisher combination needs p > 0")
-    return float(np.sum(-2.0 * np.log(arr)))
+    return np.sum(-2.0 * np.log(arr), axis=-1)
 
 
-def combine_min(p) -> float:
-    """Negative of the smallest p-value (so larger = stronger evidence)."""
-    arr = _pvals(p)
-    return float(-np.min(arr))
+def combine_min(p):
+    """Negative of the smallest p-value over the last axis (so larger =
+    stronger evidence)."""
+    return -np.min(np.asarray(p, dtype=np.float64), axis=-1)
 
 
-def combine_cauchy(p) -> float:
-    """Sum of (1/2) tan(pi (1/2 - p)); each term carries the printed 1/2
-    weight, not 1/L."""
-    arr = _pvals(p)
+def combine_cauchy(p):
+    """Sum of (1/2) tan(pi (1/2 - p)) over the last axis; each term carries
+    the printed 1/2 weight, not 1/L."""
+    arr = np.asarray(p, dtype=np.float64)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise fail("P_BOUNDARY", "cauchy combination needs p strictly inside (0, 1)")
-    return float(np.sum(0.5 * np.tan(np.pi * (0.5 - arr))))
+    return np.sum(0.5 * np.tan(np.pi * (0.5 - arr)), axis=-1)
 
 
 _COMBINE = {"fisher": combine_fisher, "min": combine_min, "cauchy": combine_cauchy}
@@ -187,18 +168,6 @@ def _pool_pvalues(pool: np.ndarray, tie_mode: str) -> np.ndarray:
     raise fail("BAD_PLAN", f"unknown tie mode {tie_mode!r}")
 
 
-def _count_p(pool_stat: np.ndarray, tie_mode: str) -> float:
-    """Add-one p-value of pool member 0 against members 1..B."""
-    if np.max(pool_stat) == np.min(pool_stat):
-        return 1.0
-    rest = pool_stat[1:]
-    if tie_mode == "strict":
-        count = int(np.sum(rest > pool_stat[0]))
-    else:
-        count = int(np.sum(rest >= pool_stat[0]))
-    return (1.0 + count) / pool_stat.shape[0]
-
-
 def permutation_test(
     sample: Sample,
     spec: KernelPairSpec,
@@ -229,38 +198,38 @@ def permutation_test(
     b_count = plan.b_count
 
     triple0 = core.triple(None)
-    stats0 = gamma_stats(triple0, gammas)
+    mu0, scaled0 = gamma_stats(triple0, gammas)
 
     scaled = np.empty((b_count + 1, n_g), dtype=np.float64)
-    scaled[0] = [gs.scaled for gs in stats0]
+    scaled[0] = scaled0
 
     def one_replicate(b: int) -> np.ndarray:
         perm = plan.permutation(b, n)
-        return np.array([gs.scaled for gs in gamma_stats(core.triple(perm), gammas)])
+        return gamma_stats(core.triple(perm), gammas)[1]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for b, row in zip(range(1, b_count + 1), pool.map(one_replicate, range(1, b_count + 1))):
                 scaled[b] = row
     else:
         for b in range(1, b_count + 1):
             scaled[b] = one_replicate(b)
 
-    # Step 3: per-exponent p-value vectors for every pool member.
+    # Step 3: per-exponent p-values, one row per pool member.
     p_members = np.empty_like(scaled)
     for j in range(n_g):
         p_members[:, j] = _pool_pvalues(scaled[:, j], tie_mode)
 
-    # Step 4: combined statistic per pool member; the cauchy transform is fed
-    # p-values capped at B/(B+1) to stay clear of the tan singularity at 1.
+    # Steps 4-5: the cauchy transform is fed p-values capped at B/(B+1) to
+    # stay clear of the tan singularity at 1.
     combined = {}
     cap = b_count / (b_count + 1.0)
     for name in combiners:
-        fn = _COMBINE[name]
         feed = np.minimum(p_members, cap) if name == "cauchy" else p_members
-        stats_pool = np.array([fn(feed[i]) for i in range(b_count + 1)])
+        stats_pool = _COMBINE[name](feed)
         combined[name] = CombinedResult(
-            stat=float(stats_pool[0]), p_perm=_count_p(stats_pool, tie_mode)
+            stat=float(stats_pool[0]), p_perm=float(_pool_pvalues(stats_pool, tie_mode)[0])
         )
 
     # The report carries the paper's jackknife display; p_asym is studentized
@@ -275,13 +244,13 @@ def permutation_test(
             sigma0 = math.sqrt(perm_sigma0_sq)
 
     per_gamma = {}
-    for j, (g, gs) in enumerate(zip(glist, stats0)):
+    for j, g in enumerate(glist):
         p_asym = None
         if has_half_normal_limit(g) and sigma0 is not None:
-            p_asym = asymptotic_pvalue(gs.scaled, n, g, sigma0, spec.m)
+            p_asym = asymptotic_pvalue(float(scaled0[j]), n, g, sigma0, spec.m)
         per_gamma[g] = GammaResult(
-            mu_hat=gs.mu_hat,
-            scaled_stat=gs.scaled,
+            mu_hat=float(mu0[j]),
+            scaled_stat=float(scaled0[j]),
             p_perm=float(p_members[0, j]),
             p_asym=p_asym,
         )

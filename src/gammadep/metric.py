@@ -9,8 +9,6 @@ meaningless there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data_model import Gamma, GammaSet, StatTriple, gamma_is_even, is_infinity
@@ -54,21 +52,11 @@ def rate_w(n: int, gamma: Gamma) -> float:
     return float(n ** ((gamma + 1.0) / (2.0 * gamma)))
 
 
-@dataclass(frozen=True)
-class GammaStat:
-    """Metric value and scaled test statistic at one exponent."""
-
-    gamma: Gamma
-    mu_hat: float
-    scaled: float
-
-
-def gamma_stats(triple: StatTriple, gammas: GammaSet) -> list:
-    """Per-exponent metric values and scaled statistics for one triple."""
+def gamma_stats(triple: StatTriple, gammas: GammaSet):
+    """Metric values and scaled statistics for one triple, as two float
+    arrays in candidate-set order: (mu_hat, rate_w * mu_hat)."""
     u = triple.u
     v = triple.v
-    out = []
-    for g in gammas:
-        mu = aggregate(u, v, g)
-        out.append(GammaStat(g, mu, rate_w(triple.n, g) * mu))
-    return out
+    mu = np.array([aggregate(u, v, g) for g in gammas])
+    scaled = mu * np.array([rate_w(triple.n, g) for g in gammas])
+    return mu, scaled

@@ -22,6 +22,7 @@ of its row. Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,7 +34,9 @@ from .errors import fail
 from .inference import COMBINERS, PermutationPlan, derive_seed, permutation_test
 from .kernels import resolve_kernel_spec
 
-NULL_DESIGNS = ("null-a", "null-b")
+# each null design draws x and y independently from one error family
+_NULL_ERROR = {"null-a": "normal", "null-b": "t3"}
+NULL_DESIGNS = tuple(_NULL_ERROR)
 MODELS = ("m1", "m2", "m3", "m4", "m5")
 ERRORS = ("normal", "t3")
 
@@ -82,12 +85,9 @@ def gen_null(design: str, n: int, d: int, seed: int) -> np.ndarray:
     """One matrix of null-design draws."""
     if d < 1:
         raise fail("BAD_DIM", f"d must be >= 1, got {d}")
-    rng = _rng(seed)
-    if design == "null-a":
-        return rng.standard_normal((n, d)) @ banded_cholesky(d).T
-    if design == "null-b":
-        return rng.standard_t(3, size=(n, d))
-    raise fail("BAD_MODEL", f"unknown null design {design!r}")
+    if design not in _NULL_ERROR:
+        raise fail("BAD_MODEL", f"unknown null design {design!r}")
+    return _draw_error(_rng(seed), n, d, _NULL_ERROR[design])
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,10 @@ def _draw_xy(cfg: SimConfig, count: int, rng: np.random.Generator):
     """
     d = cfg.d1
     k = cfg.kappa
-    if cfg.model == "null-a" or cfg.model == "null-b":
-        design = cfg.model
-        if design == "null-a":
-            chol = banded_cholesky
-            x = rng.standard_normal((count, d)) @ chol(d).T
-            y = rng.standard_normal((count, cfg.d2)) @ chol(cfg.d2).T
-        else:
-            x = rng.standard_t(3, size=(count, d))
-            y = rng.standard_t(3, size=(count, cfg.d2))
-        return x, y
+    if cfg.model in _NULL_ERROR:
+        family = _NULL_ERROR[cfg.model]
+        x = _draw_error(rng, count, d, family)
+        return x, _draw_error(rng, count, cfg.d2, family)
     if cfg.model == "m1":
         x = rng.uniform(-1.0, 1.0, (count, d))
         eps = _draw_error(rng, count, d, cfg.error)
@@ -356,11 +350,7 @@ def size_power_experiment(
 
     def one_rep(rep: int) -> np.ndarray:
         data_rng = _rng(derive_seed(cfg.seed, 0, rep))
-        if cfg.model in NULL_DESIGNS:
-            x, y = _draw_xy(cfg, cfg.n, data_rng)
-            sample = validate_sample(x, y)
-        else:
-            sample = gen_model(cfg, data_rng)
+        sample = validate_sample(*_draw_xy(cfg, cfg.n, data_rng))
         spec = resolve_kernel_spec(kernel, sample)
         plan = PermutationPlan(cfg.b_count, derive_seed(cfg.seed, 1, rep))
         report = permutation_test(
@@ -370,8 +360,9 @@ def size_power_experiment(
         row += [report.combined[c].p_perm for c in combiners]
         return np.array(row)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for rep, row in zip(range(cfg.reps), pool.map(one_rep, range(cfg.reps))):
                 pvals[rep] = row
     else:

@@ -4,7 +4,9 @@ Two routes with very different cost profiles:
 
 * ``brute_force_triple`` enumerates every ordered tuple of distinct indices
   and averages the three permuted-argument kernel products. It is the
-  correctness oracle and is capped by a TupleBudget.
+  correctness oracle and is capped by a TupleBudget. For the arity-5 pcov
+  kernel the oracle is ``PcovPermCore``, the same enumeration the
+  permutation test runs, which ``brute_force_triple`` calls.
 * ``fast_triple_pair`` evaluates the same averages in O(n^2) for
   pair-dependent kernels via the closed forms below. The collision
   corrections (the 4 and 2 coefficients in the s2 numerator) are exactly the
@@ -95,7 +97,8 @@ def brute_force_triple(
     Kernel values are obtained through the generic evaluator (tabulated per
     index pattern, then gathered over the enumeration), keeping this path
     independent of the vectorized matrix builders and closed forms it
-    oracle-checks.
+    oracle-checks. The arity-5 kernel has no fast path to check, so its
+    enumeration is PcovPermCore's unpermuted triple.
     """
     m = spec.m
     n = sample.n
@@ -104,25 +107,17 @@ def brute_force_triple(
     if n < m:
         raise fail("TOO_SMALL", f"need n >= {m}, got n={n}")
     budget.check(n, m)
+    if m == 5:
+        return PcovPermCore(sample, spec, budget).triple(None)
 
-    if m == 4:
-        ax = pair_value_table(spec, F1, sample.x)
-        ay = pair_value_table(spec, F2, sample.y)
-        t0, t1, t2, t3 = _tuple_columns(n, 4)
-        f1 = ax[t0, t1]
-        s1 = float(np.sum(f1 * ay[t0, t1]))
-        s2 = float(np.sum(f1 * ay[t2, t3]))
-        s3 = float(np.sum(f1 * ay[t0, t2]))
-    else:
-        ax3 = apex_value_table(spec, F1, sample.x)
-        ay3 = apex_value_table(spec, F2, sample.y)
-        t0, t1, t2, t3, t4 = _tuple_columns(n, 5)
-        f1 = ax3[t0, t1, t4]
-        s1 = float(np.sum(f1 * ay3[t0, t1, t4]))
-        s2 = float(np.sum(f1 * ay3[t2, t3, t4]))
-        s3 = float(np.sum(f1 * ay3[t0, t2, t4]))
-
-    count = math.perm(n, m)
+    ax = pair_value_table(spec, F1, sample.x)
+    ay = pair_value_table(spec, F2, sample.y)
+    t0, t1, t2, t3 = _tuple_columns(n, 4)
+    f1 = ax[t0, t1]
+    s1 = float(np.sum(f1 * ay[t0, t1]))
+    s2 = float(np.sum(f1 * ay[t2, t3]))
+    s3 = float(np.sum(f1 * ay[t0, t2]))
+    count = math.perm(n, 4)
     return StatTriple(s1 / count, s2 / count, s3 / count, n, spec)
 
 
@@ -206,9 +201,11 @@ def symmetrized_psi_pair(mats: PairKernelMatrices, l: int, indices) -> float:
 class PcovPermCore:
     """Enumeration engine for the arity-5 angle kernel under y permutations.
 
-    Same (n)_5 enumeration as brute_force_triple (there is deliberately no
-    algebraic fast path for this kernel); the tables and tuple-index arrays
-    are built once so each permutation replicate is a set of gathers.
+    It enumerates all (n)_5 ordered tuples (there is deliberately no
+    algebraic fast path for this kernel) and is also the pcov oracle:
+    ``brute_force_triple`` returns its unpermuted triple. The tables and
+    tuple-index arrays are built once so each permutation replicate is a
+    set of gathers.
     """
 
     def __init__(self, sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None):

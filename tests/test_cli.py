@@ -67,6 +67,23 @@ class TestCsvIngestion:
         assert exc.value.code == "PARSE"
         assert ":3:" in str(exc.value)
 
+    def test_underscore_digit_grouping_is_a_data_error(self, tmp_path, capsys):
+        # float() accepts "1_000"; the CSV reader must not
+        p = tmp_path / "t.csv"
+        rows = [f"{i}.5,{(i * 7) % 11}.25" for i in range(12)]
+        rows[4] = " 1_000 , 2.0"
+        p.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["test", "--input", str(p), "--x-cols", "a", "--y-cols", "b", "--B", "9", "--seed", "1"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "PARSE" in err and ":6:" in err and "1_000" in err
+
+    def test_surrounding_whitespace_is_allowed(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n 1.5 ,2\n3,\t4e1\n", encoding="utf-8")
+        _, data = read_csv(str(p))
+        assert np.array_equal(data, [[1.5, 2.0], [3.0, 40.0]])
+
     def test_column_range(self):
         assert parse_columns("0..3", ["a", "b", "c", "d"]) == [0, 1, 2]
 

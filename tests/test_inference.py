@@ -24,7 +24,7 @@ from gammadep import (
     rate_w,
     validate_sample,
 )
-from gammadep.inference import derive_seed
+from gammadep.inference import _pool_pvalues, derive_seed
 
 
 class TestAsymptoticPvalue:
@@ -88,6 +88,69 @@ class TestCombiners:
         with pytest.raises(GammadepError) as exc:
             combine_cauchy([1.0, 0.2])
         assert exc.value.code == "P_BOUNDARY"
+
+
+    def test_rowwise_equals_per_row_loop_bit_for_bit(self):
+        # the permutation test reduces the (B+1) x L p-value matrix in one
+        # call per combiner; each row must be the statistic of its vector
+        rng = np.random.default_rng(31)
+        pmat = rng.integers(1, 201, size=(201, 7)) / 201.0
+        capped = np.minimum(pmat, 200 / 201.0)
+        for fn, feed in ((combine_fisher, pmat), (combine_min, pmat), (combine_cauchy, capped)):
+            rows = fn(feed)
+            loop = np.array([float(fn(list(feed[i]))) for i in range(feed.shape[0])])
+            assert rows.shape == (201,)
+            assert rows.tobytes() == loop.tobytes()
+
+    def test_rowwise_checks_every_row(self):
+        pmat = np.full((5, 3), 0.5)
+        pmat[3, 1] = 0.0
+        with pytest.raises(GammadepError) as exc:
+            combine_fisher(pmat)
+        assert exc.value.code == "ZERO_P"
+        with pytest.raises(GammadepError) as exc:
+            combine_cauchy(pmat)
+        assert exc.value.code == "P_BOUNDARY"
+
+
+def add_one_p_of_member_zero(pool, tie_mode):
+    """Reference: member 0 counted against members 1..B, add-one rule."""
+    if max(pool) == min(pool):
+        return 1.0
+    if tie_mode == "strict":
+        count = sum(1 for s in pool[1:] if s > pool[0])
+    else:
+        count = sum(1 for s in pool[1:] if s >= pool[0])
+    return (1.0 + count) / len(pool)
+
+
+class TestPoolPvalues:
+    POOLS = (
+        [0.3, 0.1, 0.5, 0.2, 0.9],
+        [0.5, 0.5, 0.1, 0.5, 0.7, 0.2],
+        [-1.0, 2.0, -1.0, -1.0],
+        [4.0, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, 3.0],
+        [2.5, 2.5, 2.5, 2.5, 2.5],
+    )
+
+    @pytest.mark.parametrize("tie_mode", ["strict", "inclusive"])
+    def test_member_zero_is_the_add_one_count(self, tie_mode):
+        for pool in self.POOLS:
+            got = _pool_pvalues(np.array(pool), tie_mode)[0]
+            assert got == add_one_p_of_member_zero(pool, tie_mode)
+
+    @pytest.mark.parametrize("tie_mode", ["strict", "inclusive"])
+    def test_random_pools_with_ties(self, tie_mode):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            pool = rng.integers(0, 6, size=rng.integers(2, 30)).astype(np.float64)
+            got = _pool_pvalues(pool, tie_mode)[0]
+            assert got == add_one_p_of_member_zero(list(pool), tie_mode)
+
+    def test_all_equal_pool_is_one(self):
+        for tie_mode in ("strict", "inclusive"):
+            assert np.all(_pool_pvalues(np.full(9, -0.75), tie_mode) == 1.0)
 
 
 class TestPermutationPlan:
@@ -218,6 +281,28 @@ class TestPermutationTest:
         assert a.triple == b.triple
         assert a.sigma0_sq == b.sigma0_sq
 
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        import os
+
+        from gammadep import inference
+
+        seen = []
+        real_pool = inference.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            seen.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        sample = small_sample(14, n=20)
+        spec = KernelPairSpec.dcov()
+        gammas = GammaSet((1, 2, INFINITY))
+        serial = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", recording_pool)
+        capped = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=8)
+        assert seen and max(seen) <= 2
+        assert capped == serial
+
     def test_constant_y_degenerate_path(self):
         x = np.random.default_rng(6).standard_normal((20, 2))
         sample = validate_sample(x, np.zeros((20, 1)))
@@ -301,16 +386,6 @@ class TestDeriveSeed:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(1) != derive_seed(2)
-
-
-class TestPValueVector:
-    def test_feeds_the_combiners(self):
-        from gammadep import PValueVector
-
-        vec = PValueVector((1, 2, INFINITY), (0.5, 0.25, 0.75))
-        assert combine_min(vec) == -0.25
-        assert combine_cauchy(vec) == pytest.approx(0.0, abs=1e-12)
-        assert vec.per_gamma()[2] == 0.25
 
 
 class TestPvaluesShrinkUnderDependence:

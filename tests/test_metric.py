@@ -137,20 +137,30 @@ class TestOrderingClauses:
 class TestGammaStats:
     def test_zero_triple(self):
         t = StatTriple(0.0, 0.0, 0.0, 50, KernelPairSpec.dcov())
-        for gs in gamma_stats(t, GammaSet.default()):
-            assert gs.mu_hat == 0.0
-            assert gs.scaled == 0.0
+        mu, scaled = gamma_stats(t, GammaSet.default())
+        assert mu.shape == scaled.shape == (len(GammaSet.default()),)
+        assert np.all(mu == 0.0)
+        assert np.all(scaled == 0.0)
 
     def test_gamma_one_recovers_linear_combination(self):
         t = StatTriple(1.3, 0.9, 0.7, 36, KernelPairSpec.dcov())
-        gs = gamma_stats(t, GammaSet((1,)))[0]
-        assert gs.mu_hat == pytest.approx(t.s1 + t.s2 - 2.0 * t.s3, rel=1e-12)
-        assert gs.scaled == pytest.approx(36.0 * gs.mu_hat, rel=1e-12)
+        mu, scaled = gamma_stats(t, GammaSet((1,)))
+        assert mu[0] == pytest.approx(t.s1 + t.s2 - 2.0 * t.s3, rel=1e-12)
+        assert scaled[0] == pytest.approx(36.0 * mu[0], rel=1e-12)
+
+    def test_entries_are_aggregate_times_rate(self):
+        t = StatTriple(1.0, 0.4, 0.6, 25, KernelPairSpec.dcov())
+        gammas = GammaSet.default()
+        mu, scaled = gamma_stats(t, gammas)
+        for j, g in enumerate(gammas):
+            assert mu[j] == aggregate(t.u, t.v, g)
+            assert scaled[j] == rate_w(25, g) * aggregate(t.u, t.v, g)
 
     def test_cross_gamma_ordering_on_estimates(self):
         # mixed-sign estimates: even exponents dominate, max next, odd grow
         t = StatTriple(1.0, 0.4, 0.6, 25, KernelPairSpec.dcov())
-        by_gamma = {gs.gamma: gs.mu_hat for gs in gamma_stats(t, GammaSet.default())}
+        gammas = GammaSet.default()
+        by_gamma = dict(zip(gammas, gamma_stats(t, gammas)[0]))
         u, v = t.u, t.v  # 0.4, -0.2
         assert u + v > 0 and min(u, v) < 0
         assert by_gamma[2] > by_gamma[4] > by_gamma[6] > by_gamma[INFINITY]

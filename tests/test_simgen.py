@@ -16,6 +16,7 @@ from gammadep import (
     mc_population_triple,
     size_power_experiment,
 )
+from gammadep.simgen import _draw_xy, _rng
 
 
 class TestGenNull:
@@ -45,6 +46,12 @@ class TestGenNull:
     def test_unknown_design(self):
         with pytest.raises(GammadepError):
             gen_null("null-c", 10, 2, seed=0)
+
+    @pytest.mark.parametrize("design", ["null-a", "null-b"])
+    def test_equals_the_x_block_of_the_simulation_draw(self, design):
+        cfg = SimConfig(model=design, n=40, d1=3, d2=2, seed=0)
+        x, _ = _draw_xy(cfg, 40, _rng(77))
+        assert gen_null(design, 40, 3, seed=77).tobytes() == x.tobytes()
 
 
 class TestSimConfig:
@@ -171,6 +178,27 @@ class TestSizePowerExperiment:
         b = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=3)
         assert np.array_equal(a.pvalues, b.pvalues)
         assert a.rejections == b.rejections
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        import os
+
+        from gammadep import simgen
+
+        seen = []
+        real_pool = simgen.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            seen.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        cfg = SimConfig(model="null-b", n=12, d1=2, d2=2, reps=100, b_count=9, seed=56)
+        serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simgen, "ThreadPoolExecutor", recording_pool)
+        capped = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=8)
+        assert seen and max(seen) <= 2
+        assert capped == serial
+        assert np.array_equal(capped.pvalues, serial.pvalues)
 
     def test_noiseless_linear_power_is_one(self):
         cfg = SimConfig(model="m1", n=30, d1=2, d2=2, kappa=0.0, reps=100, b_count=60, seed=54)
