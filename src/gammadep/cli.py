@@ -19,14 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .data_model import (
-    CombinedResult,
-    GammaResult,
     GammaSet,
     KernelPairSpec,
-    StatTriple,
     TestReport,
     gamma_label,
-    normalize_gamma,
     validate_sample,
 )
 from .errors import GammadepError, fail
@@ -128,11 +124,6 @@ def _kernel_to_dict(spec: KernelPairSpec) -> dict:
     return {"id": spec.id, "m": spec.m, "bandwidths": list(spec.bandwidths) if spec.bandwidths else None}
 
 
-def _kernel_from_dict(d: dict) -> KernelPairSpec:
-    bw = tuple(d["bandwidths"]) if d.get("bandwidths") else None
-    return KernelPairSpec(d["id"], d["m"], bw)
-
-
 def report_to_dict(report: TestReport) -> dict:
     meta = report.meta
     spec = meta["kernel"]
@@ -162,33 +153,6 @@ def report_to_dict(report: TestReport) -> dict:
             name: {"stat": r.stat, "p_perm": r.p_perm} for name, r in report.combined.items()
         },
     }
-
-
-def report_from_dict(doc: dict) -> TestReport:
-    spec = _kernel_from_dict(doc["kernel"])
-    gammas = tuple(normalize_gamma(g) for g in doc["gammas"])
-    triple = StatTriple(
-        doc["stat_triple"]["s1"], doc["stat_triple"]["s2"], doc["stat_triple"]["s3"], doc["n"], spec
-    )
-    per_gamma = {}
-    for g in gammas:
-        r = doc["per_gamma"][gamma_label(g)]
-        per_gamma[g] = GammaResult(r["mu_hat"], r["scaled_stat"], r["p_perm"], r["p_asym"])
-    combined = {
-        name: CombinedResult(r["stat"], r["p_perm"]) for name, r in doc["combined"].items()
-    }
-    meta = {
-        "b_count": doc["b_count"],
-        "seed": doc["seed"],
-        "kernel": spec,
-        "gammas": gammas,
-        "n": doc["n"],
-        "d1": doc["d1"],
-        "d2": doc["d2"],
-        "combiners": tuple(doc["combiners"]),
-        "tie_mode": doc["tie_mode"],
-    }
-    return TestReport(triple, per_gamma, combined, doc["sigma0_sq"], meta)
 
 
 def _emit(doc: dict, out: Optional[str], reproducible: bool) -> None:

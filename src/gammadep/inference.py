@@ -143,6 +143,16 @@ def asymptotic_pvalue(scaled_mu: float, n: int, gamma: Gamma, sigma0: float, m: 
     return min(1.0, max(p, 5e-324))
 
 
+def _ordered_map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]`` on at most ``min(threads, cpu count)``
+    worker threads; results keep the order of ``items``."""
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _pool_pvalues(pool: np.ndarray, tie_mode: str) -> np.ndarray:
     """Leave-one-out add-one p-values for every member of one statistic pool.
 
@@ -207,14 +217,11 @@ def permutation_test(
         perm = plan.permutation(b, n)
         return gamma_stats(core.triple(perm), gammas)[1]
 
-    workers = min(threads, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for b, row in zip(range(1, b_count + 1), pool.map(one_replicate, range(1, b_count + 1))):
-                scaled[b] = row
-    else:
-        for b in range(1, b_count + 1):
-            scaled[b] = one_replicate(b)
+    scaled[1:] = _ordered_map(one_replicate, range(1, b_count + 1), threads)
+    finite = np.isfinite(scaled).all(axis=0)
+    if not finite.all():
+        bad = ", ".join(str(g) for g, ok in zip(glist, finite) if not ok)
+        raise fail("NONFINITE", f"scaled statistic overflows float64 at gamma {bad}")
 
     # Step 3: per-exponent p-values, one row per pool member.
     p_members = np.empty_like(scaled)

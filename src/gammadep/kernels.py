@@ -5,6 +5,12 @@ Two computation routes live here on purpose. ``pairwise_dcov`` /
 paths; ``eval_generic_kernel`` evaluates a single kernel value from raw
 coordinate vectors and backs the brute-force enumeration used as the
 correctness oracle.
+
+Every statistic here is a U-statistic over distinct indices, so the fast
+paths never read a kernel value at a repeated index. ``build_pair_matrices``
+therefore zeroes both diagonals once and freezes the arrays: a
+``PairKernelMatrices`` holds A~ and B~, the zero-diagonal matrices that
+``ustat`` and ``variance`` share without copying.
 """
 
 from __future__ import annotations
@@ -116,11 +122,17 @@ def eval_generic_kernel(spec: KernelPairSpec, which: str, args) -> float:
 
 @dataclass(frozen=True)
 class PairKernelMatrices:
-    """The n x n matrices A (f1 on X pairs) and B (f2 on Y pairs)."""
+    """A~ and B~: the n x n matrices of f1 on X pairs and f2 on Y pairs,
+    with zero diagonals."""
 
     a: np.ndarray
     b: np.ndarray
     spec: KernelPairSpec
+
+    def __post_init__(self):
+        for name, mat in (("a", self.a), ("b", self.b)):
+            if np.any(np.diagonal(mat) != 0.0):
+                raise fail("BAD_KERNEL", f"{name} must have a zero diagonal")
 
     @property
     def n(self) -> int:
@@ -128,7 +140,10 @@ class PairKernelMatrices:
 
 
 def build_pair_matrices(sample: Sample, spec: KernelPairSpec) -> PairKernelMatrices:
-    """Kernel matrices for a pair-dependent kernel (dcov or ghsic)."""
+    """Read-only A~ and B~ for a pair-dependent kernel (dcov or ghsic).
+
+    ghsic's exp(0) = 1 diagonal is zeroed here; dcov's is already 0.
+    """
     if not spec.is_pair_dependent:
         raise fail("PAIR_KERNEL_REQUIRED", f"{spec.id} is not pair-dependent")
     if spec.id == DCOV:
@@ -137,6 +152,8 @@ def build_pair_matrices(sample: Sample, spec: KernelPairSpec) -> PairKernelMatri
     else:
         a = pairwise_ghsic(sample.x, spec.bandwidths[0])
         b = pairwise_ghsic(sample.y, spec.bandwidths[1])
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(b, 0.0)
     a.setflags(write=False)
     b.setflags(write=False)
     return PairKernelMatrices(a, b, spec)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data_model import Gamma, GammaSet, StatTriple, gamma_is_even, is_infinity
+from .errors import fail
 
 
 def _int_pow(base: float, exponent: int) -> float:
@@ -30,6 +31,7 @@ def aggregate(u: float, v: float, gamma: Gamma) -> float:
 
     Finite gamma: sign(s) * |s|^(1/gamma) with s = u^gamma + v^gamma
     (plain root for even gamma where s >= 0). Infinite gamma: max(u, v).
+    Raises NONFINITE when a power overflows float64.
     """
     u = float(u)
     v = float(v)
@@ -37,7 +39,11 @@ def aggregate(u: float, v: float, gamma: Gamma) -> float:
         return max(u, v)
     if gamma == 1:
         return u + v
-    s = _int_pow(u, gamma) + _int_pow(v, gamma)
+    try:
+        s = _int_pow(u, gamma) + _int_pow(v, gamma)
+    except OverflowError:
+        msg = f"u^{gamma} + v^{gamma} overflows float64 (u={u!r}, v={v!r})"
+        raise fail("NONFINITE", msg) from None
     if gamma_is_even(gamma):
         return float(s ** (1.0 / gamma))
     return float(np.copysign(abs(s) ** (1.0 / gamma), s)) if s != 0.0 else 0.0

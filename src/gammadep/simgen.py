@@ -22,8 +22,6 @@ of its row. Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +29,7 @@ import numpy as np
 
 from .data_model import GammaSet, KernelPairSpec, Sample, validate_sample
 from .errors import fail
-from .inference import COMBINERS, PermutationPlan, derive_seed, permutation_test
+from .inference import COMBINERS, PermutationPlan, _ordered_map, derive_seed, permutation_test
 from .kernels import resolve_kernel_spec
 
 # each null design draws x and y independently from one error family
@@ -345,8 +343,6 @@ def size_power_experiment(
     glabels = [f"T{g}" for g in (str(g) for g in gammas)]
     combiners = tuple(combiners)
     methods = tuple(glabels) + combiners
-    n_methods = len(methods)
-    pvals = np.empty((cfg.reps, n_methods), dtype=np.float64)
 
     def one_rep(rep: int) -> np.ndarray:
         data_rng = _rng(derive_seed(cfg.seed, 0, rep))
@@ -360,14 +356,7 @@ def size_power_experiment(
         row += [report.combined[c].p_perm for c in combiners]
         return np.array(row)
 
-    workers = min(threads, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rep, row in zip(range(cfg.reps), pool.map(one_rep, range(cfg.reps))):
-                pvals[rep] = row
-    else:
-        for rep in range(cfg.reps):
-            pvals[rep] = one_rep(rep)
+    pvals = np.array(_ordered_map(one_rep, range(cfg.reps), threads), dtype=np.float64)
 
     rejections = tuple(int(c) for c in np.sum(pvals <= cfg.alpha, axis=0))
     return SizePowerResult(

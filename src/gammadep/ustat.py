@@ -13,10 +13,10 @@ Two routes with very different cost profiles:
   kind of term that silently goes wrong, which is why the oracle route
   exists and is wired into CI.
 
-Closed forms, with A~ and B~ the kernel matrices with zeroed diagonals,
-T1 = sum_{i!=j} a_ij b_ij, r_i / c_i the off-diagonal row sums, and
-Sig3 = sum_i r_i c_i - T1 (= the sum over ordered distinct triples (i,j,k)
-of a_ij b_ik):
+Closed forms, with A~ and B~ the zero-diagonal kernel matrices of a
+``PairKernelMatrices`` (read in place, not copied), T1 = sum_{i!=j} a_ij b_ij,
+r_i / c_i the off-diagonal row sums, and Sig3 = sum_i r_i c_i - T1 (= the
+sum over ordered distinct triples (i,j,k) of a_ij b_ik):
 
     s1 = T1 / (n (n-1))
     s3 = Sig3 / (n (n-1) (n-2))
@@ -44,6 +44,7 @@ from .kernels import (
     F2,
     PairKernelMatrices,
     apex_value_table,
+    build_pair_matrices,
     pair_value_table,
 )
 
@@ -136,17 +137,11 @@ class PairStatCore:
             raise fail("TOO_SMALL", f"need n >= 4, got n={n}")
         if not mats.spec.is_pair_dependent:
             raise fail("PAIR_KERNEL_REQUIRED", f"{mats.spec.id} has no pair fast path")
-        at = np.array(mats.a, dtype=np.float64)
-        bt = np.array(mats.b, dtype=np.float64)
-        np.fill_diagonal(at, 0.0)
-        np.fill_diagonal(bt, 0.0)
         self.mats = mats
         self.spec = mats.spec
         self.n = n
-        self.at = at
-        self.bt = bt
-        self.r = at.sum(axis=1)
-        self.c = bt.sum(axis=1)
+        self.r = mats.a.sum(axis=1)
+        self.c = mats.b.sum(axis=1)
         self.a_total = float(self.r.sum())
         self.b_total = float(self.c.sum())
 
@@ -154,12 +149,12 @@ class PairStatCore:
         """Triple for the sample with y rows permuted by ``perm`` (or not)."""
         n = self.n
         if perm is None:
-            bperm = self.bt
+            bperm = self.mats.b
             cperm = self.c
         else:
-            bperm = self.bt[np.ix_(perm, perm)]
+            bperm = self.mats.b[np.ix_(perm, perm)]
             cperm = self.c[perm]
-        t1 = float(np.sum(self.at * bperm))
+        t1 = float(np.sum(self.mats.a * bperm))
         sig3 = float(self.r @ cperm) - t1
         s1 = t1 / (n * (n - 1))
         s3 = sig3 / (n * (n - 1) * (n - 2))
@@ -241,7 +236,5 @@ class PcovPermCore:
 def stat_core_for(sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None):
     """Engine with a ``triple(perm)`` method for the given kernel."""
     if spec.is_pair_dependent:
-        from .kernels import build_pair_matrices
-
         return PairStatCore(build_pair_matrices(sample, spec))
     return PcovPermCore(sample, spec, budget)

@@ -26,7 +26,8 @@ estimate is
 row-sum statistics of the kernel matrices; the reduction is gated on the
 brute oracle in CI because every term in it is easy to get subtly wrong.
 
-Reduction (N = n - 1, all diagonals zeroed; u_i = sum_p a_ip b_ip,
+Reduction (N = n - 1; A~ and B~ are the zero-diagonal matrices of a
+``PairKernelMatrices``, read in place; u_i = sum_p a_ip b_ip,
 r/c the row sums of A~/B~, p_i = (A~ c)_i, q_i = (B~ r)_i,
 T1 = sum u_i, Sig3 = r.c - T1, and Sig3(-i) = Sig3 - r_i c_i - p_i - q_i + 3 u_i
 the triple sum avoiding index i):
@@ -140,10 +141,8 @@ def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
     m = mats.spec.m
     if n <= m:
         raise fail("TOO_SMALL", f"need n > {m}, got n={n}")
-    at = np.array(mats.a, dtype=np.float64)
-    bt = np.array(mats.b, dtype=np.float64)
-    np.fill_diagonal(at, 0.0)
-    np.fill_diagonal(bt, 0.0)
+    at = mats.a
+    bt = mats.b
     r = at.sum(axis=1)
     c = bt.sum(axis=1)
     u = (at * bt).sum(axis=1)
@@ -164,14 +163,13 @@ def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
 
 
 def _centered_row_stats(mat: np.ndarray):
-    """Off-diagonal row sums and sum of squares of a symmetric kernel
+    """Row sums and sum of squares of a symmetric zero-diagonal kernel
     matrix after subtracting its off-diagonal mean; allocates no n x n
     temporary."""
     n = mat.shape[0]
-    diag = np.diagonal(mat)
-    rows = mat.sum(axis=1) - diag
+    rows = mat.sum(axis=1)
     kappa = float(rows.sum()) / (n * (n - 1))
-    sq = float(np.einsum("ij,ij->", mat, mat)) - float(diag @ diag)
+    sq = float(np.einsum("ij,ij->", mat, mat))
     return rows - kappa * (n - 1), sq - kappa * kappa * n * (n - 1)
 
 

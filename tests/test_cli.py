@@ -12,17 +12,19 @@ from gammadep.cli import (
     main,
     parse_columns,
     read_csv,
-    report_from_dict,
     report_to_dict,
     run_oracle_suite,
 )
 from gammadep import (
+    CombinedResult,
+    GammaResult,
     GammaSet,
     GammadepError,
     JackknifeEstimate,
     KernelPairSpec,
     PermutationPlan,
     StatTriple,
+    gamma_label,
     permutation_test,
     validate_sample,
 )
@@ -182,6 +184,35 @@ class TestTestCommand:
         assert code == EXIT_DATA
         assert "COLUMN_NOT_FOUND" in capsys.readouterr().err
 
+    @staticmethod
+    def _scaled_csv(tmp_path, scale):
+        data = np.random.default_rng(7).standard_normal((40, 4)) * scale
+        p = tmp_path / "big.csv"
+        rows = "\n".join(",".join(f"{v!r}" for v in row) for row in data.tolist())
+        p.write_text("a,b,c,d\n" + rows + "\n", encoding="utf-8")
+        return str(p)
+
+    def test_overflowing_default_gammas_is_data_error(self, tmp_path, capsys):
+        # u ~ 1e60, so u^6 is inf: a coded error, not a JSON ValueError
+        path = self._scaled_csv(tmp_path, 1e30)
+        code = main(
+            ["test", "--input", path, "--x-cols", "0..2", "--y-cols", "2..4", "--B", "19", "--seed", "1"]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "NONFINITE" in err and "gamma 6" in err
+
+    def test_overflowing_pow_is_data_error(self, tmp_path, capsys):
+        # u ~ 1e35, so float u**10 raises OverflowError inside aggregate
+        path = self._scaled_csv(tmp_path, 1e18)
+        code = main(
+            ["test", "--input", path, "--x-cols", "0..2", "--y-cols", "2..4", "--B", "19",
+             "--seed", "1", "--gamma", "10"]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "NONFINITE" in err and "u^10" in err
+
     def test_missing_file_is_data_error(self, capsys):
         code = main(
             ["test", "--input", "/nonexistent.csv", "--x-cols", "0..1", "--y-cols", "1..2", "--seed", "1"]
@@ -218,18 +249,27 @@ class TestTestCommand:
 
 class TestReportRoundTrip:
     def test_serialize_parse_equality(self):
+        # every field of the JSON document, after a trip through json, equals
+        # the TestReport's own value
         rng = np.random.default_rng(103)
         sample = validate_sample(rng.standard_normal((25, 2)), rng.standard_normal((25, 3)))
-        report = permutation_test(
-            sample, KernelPairSpec.dcov(), GammaSet.default(), PermutationPlan(40, 77)
-        )
-        doc = report_to_dict(report)
-        back = report_from_dict(json.loads(json.dumps(doc)))
-        assert back.per_gamma == report.per_gamma
-        assert back.combined == report.combined
-        assert back.triple == report.triple
-        assert back.sigma0_sq == report.sigma0_sq
-        assert back.meta == report.meta
+        kernels = ((KernelPairSpec.dcov(), None), (KernelPairSpec.ghsic(0.7, 1.3), [0.7, 1.3]))
+        for spec, bandwidths in kernels:
+            report = permutation_test(sample, spec, GammaSet.default(), PermutationPlan(40, 77))
+            doc = json.loads(json.dumps(report_to_dict(report)))
+            t = report.triple
+            assert doc["stat_triple"] == {"s1": t.s1, "s2": t.s2, "s3": t.s3}
+            assert doc["sigma0_sq"] == report.sigma0_sq
+            assert {g: GammaResult(**r) for g, r in doc["per_gamma"].items()} == {
+                gamma_label(g): r for g, r in report.per_gamma.items()
+            }
+            assert {c: CombinedResult(**r) for c, r in doc["combined"].items()} == report.combined
+            meta = report.meta
+            assert doc["kernel"] == {"id": spec.id, "m": spec.m, "bandwidths": bandwidths}
+            assert doc["gammas"] == [gamma_label(g) for g in meta["gammas"]]
+            assert doc["combiners"] == list(meta["combiners"])
+            for key in ("b_count", "seed", "n", "d1", "d2", "tie_mode"):
+                assert doc[key] == meta[key]
 
 
 class TestSimulateCommand:

@@ -2,6 +2,7 @@
 pooling mechanics re-derived by hand, and seeded determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,44 @@ class TestPermutationTest:
         assert report.sigma0_sq is None
         assert all(r.p_asym is None for r in report.per_gamma.values())
         assert all(0 < r.p_perm <= 1 for r in report.per_gamma.values())
+
+
+def peak_nxn(fn, n):
+    """tracemalloc peak of fn() above the bytes traced at entry, in n x n
+    float64 matrices."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8.0 * n * n)
+
+
+class TestMemory:
+    # The shared zero-diagonal pair: a test holds A~, B~, one gathered B~
+    # and one product (4 n x n); the jackknife only its one product.
+    # d = 1 keeps the distance pass's row-block buffer (d n^2 floats at this
+    # n, capped at 16 MB) below the matrices being counted.
+    N = 200
+
+    def sample(self):
+        rng = np.random.default_rng(31)
+        return validate_sample(rng.standard_normal((self.N, 1)), rng.standard_normal((self.N, 1)))
+
+    def test_permutation_test_holds_four_matrices(self):
+        s = self.sample()
+
+        def run():
+            plan = PermutationPlan(20, 3)
+            permutation_test(s, KernelPairSpec.dcov(), GammaSet.default(), plan, threads=1)
+
+        assert peak_nxn(run, self.N) <= 4.5
+
+    def test_jackknife_fast_holds_one_matrix(self):
+        mats = build_pair_matrices(self.sample(), KernelPairSpec.dcov())
+        assert peak_nxn(lambda: jackknife_fast(mats), self.N) <= 1.5
 
 
 class TestDeriveSeed:

@@ -14,7 +14,7 @@ from gammadep import (
     pairwise_ghsic,
     validate_sample,
 )
-from gammadep.kernels import F1, F2, build_pair_matrices
+from gammadep.kernels import F1, F2, PairKernelMatrices, build_pair_matrices
 
 
 def naive_distances(m):
@@ -168,8 +168,18 @@ class TestBuildPairMatrices:
                 s, KernelPairSpec.ghsic(median_bandwidth(x), median_bandwidth(y))
             )
             assert np.array_equal(gm.b, gm.b.T)
-            assert np.all(np.diag(gm.b) == 1.0)
-            assert np.all((gm.a > 0) & (gm.a <= 1))
+            assert np.all(np.diag(gm.a) == 0.0) and np.all(np.diag(gm.b) == 0.0)
+            off = ~np.eye(7, dtype=bool)
+            assert np.all((gm.a[off] > 0) & (gm.a[off] <= 1))
+
+    def test_nonzero_diagonal_is_rejected(self):
+        s = validate_sample(np.random.default_rng(9).standard_normal((6, 2)), np.eye(6))
+        mats = build_pair_matrices(s, KernelPairSpec.dcov())
+        unit = np.eye(6)
+        for a, b in ((mats.a + unit, mats.b), (mats.a, mats.b + unit)):
+            with pytest.raises(GammadepError) as exc:
+                PairKernelMatrices(a, b, mats.spec)
+            assert exc.value.code == "BAD_KERNEL"
 
     def test_pcov_has_no_pair_matrices(self):
         s = validate_sample(np.eye(6), np.eye(6))

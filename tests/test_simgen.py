@@ -182,10 +182,10 @@ class TestSizePowerExperiment:
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         import os
 
-        from gammadep import simgen
+        from gammadep import inference
 
         seen = []
-        real_pool = simgen.ThreadPoolExecutor
+        real_pool = inference.ThreadPoolExecutor
 
         def recording_pool(max_workers):
             seen.append(max_workers)
@@ -194,7 +194,7 @@ class TestSizePowerExperiment:
         cfg = SimConfig(model="null-b", n=12, d1=2, d2=2, reps=100, b_count=9, seed=56)
         serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(simgen, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", recording_pool)
         capped = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=8)
         assert seen and max(seen) <= 2
         assert capped == serial
