@@ -167,6 +167,16 @@ def _emit(doc: dict, out: Optional[str], reproducible: bool) -> None:
         print(text)
 
 
+def _finish(args, doc: dict, text: str) -> None:
+    """The one stdout rule: ``--format text`` prints ``text`` and ``--out``
+    also gets the JSON; ``--format json`` prints the JSON, or writes it to
+    ``--out`` instead."""
+    if args.format == "text":
+        print(text)
+    if args.format == "json" or args.out:
+        _emit(doc, args.out, args.reproducible)
+
+
 def _report_text(doc: dict) -> str:
     lines = [
         f"n={doc['n']} d1={doc['d1']} d2={doc['d2']} kernel={doc['kernel']['id']} "
@@ -285,12 +295,7 @@ def _cmd_test(args) -> int:
     doc["x_cols"] = args.x_cols
     doc["y_cols"] = args.y_cols
     doc["alpha"] = args.alpha
-    if args.format == "text":
-        print(_report_text(doc))
-        if args.out:
-            _emit(doc, args.out, args.reproducible)
-    else:
-        _emit(doc, args.out, args.reproducible)
+    _finish(args, doc, _report_text(doc))
     return EXIT_OK
 
 
@@ -318,11 +323,7 @@ def _cmd_simulate(args) -> int:
     doc = result.to_table_dict()
     doc["schema_version"] = SCHEMA_VERSION
     doc["command"] = "simulate"
-    print(result.to_text())
-    if args.out:
-        _emit(doc, args.out, args.reproducible)
-    elif args.format == "json":
-        _emit(doc, None, args.reproducible)
+    _finish(args, doc, result.to_text())
     return EXIT_OK
 
 
@@ -335,11 +336,11 @@ def _cmd_oracle_check(args) -> int:
         tol=args.tol,
     )
     doc["command"] = "oracle-check"
+    lines = []
     for entry in doc["entries"]:
         detail = f" max_error={entry.get('max_error'):.3e}" if "max_error" in entry else ""
-        print(f"{entry['kernel']}: {entry['status']}{detail}")
-    if args.out:
-        _emit(doc, args.out, args.reproducible)
+        lines.append(f"{entry['kernel']}: {entry['status']}{detail}")
+    _finish(args, doc, "\n".join(lines))
     if doc["status"] == "FAIL":
         print("oracle check FAILED", file=sys.stderr)
         return EXIT_ORACLE
@@ -373,17 +374,13 @@ def _cmd_population(args) -> int:
     doc["kappa"] = cfg.kappa
     doc["kernel"] = _kernel_to_dict(spec)
     doc["seed"] = args.seed
-    if args.format == "text":
-        print(
-            f"model={args.model} d={args.d} error={args.error} n_mc={args.n_mc}\n"
-            f"u   = {triple.u:+.6f} (se {triple.se_u:.6f})\n"
-            f"v   = {triple.v:+.6f} (se {triple.se_v:.6f})\n"
-            f"sum = {triple.sum:+.6f} (se {triple.se_sum:.6f})"
-        )
-        if args.out:
-            _emit(doc, args.out, args.reproducible)
-    else:
-        _emit(doc, args.out, args.reproducible)
+    text = (
+        f"model={args.model} d={args.d} error={args.error} n_mc={args.n_mc}\n"
+        f"u   = {triple.u:+.6f} (se {triple.se_u:.6f})\n"
+        f"v   = {triple.v:+.6f} (se {triple.se_v:.6f})\n"
+        f"sum = {triple.sum:+.6f} (se {triple.se_sum:.6f})"
+    )
+    _finish(args, doc, text)
     return EXIT_OK
 
 
@@ -391,9 +388,9 @@ def _cmd_population(args) -> int:
 # Parser
 
 
-def _add_common(p) -> None:
+def _add_common(p, default_format: str) -> None:
     p.add_argument("--out", help="write the JSON document to this path")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument("--format", choices=("json", "text"), default=default_format, help="what stdout carries")
     p.add_argument("--seed", type=int, required=True, help="64-bit run seed")
     p.add_argument("--threads", type=int, default=None, help="worker cap (results invariant); falls back to GAMMADEP_THREADS")
     p.add_argument("--reproducible", action="store_true", help="suppress the timestamp field")
@@ -418,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--combiners", default="fisher,min,cauchy")
     t.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
-    _add_common(t)
+    _add_common(t, "json")
     t.set_defaults(fn=_cmd_test)
 
     s = sub.add_parser("simulate", help="size/power experiment")
@@ -434,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--combiners", default="fisher,min,cauchy")
     s.add_argument("--kernel", choices=("dcov", "ghsic"), default="dcov")
     s.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
-    _add_common(s)
+    _add_common(s, "text")
     s.set_defaults(fn=_cmd_simulate)
 
     o = sub.add_parser("oracle-check", help="fast-vs-brute equivalence gate")
@@ -443,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n-min", type=int, default=6)
     o.add_argument("--n-max", type=int, default=12)
     o.add_argument("--tol", type=float, default=1e-10)
-    _add_common(o)
+    _add_common(o, "text")
     o.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("population", help="Monte-Carlo population mean differences")
@@ -455,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-x", type=float, default=None)
     p.add_argument("--sigma-y", type=float, default=None)
     p.add_argument("--n-mc", type=int, default=1_000_000)
-    _add_common(p)
+    _add_common(p, "json")
     p.set_defaults(fn=_cmd_population)
 
     return parser

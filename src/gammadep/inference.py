@@ -6,7 +6,9 @@ Permutation flow for one sample (B replicates):
 1. scaled statistics on the original sample, one per exponent;
 2. for b = 1..B permute the y rows only and recompute the statistics
    (kernel matrices are built once: permuting y rows permutes the rows and
-   columns of B, so each replicate is a gather plus O(n^2) reductions);
+   columns of B, so each replicate is a gather plus O(n^2) reductions).
+   From n = 200 on, where the gathers release the GIL, b = 1..B runs as
+   ``min(threads, cpu count)`` contiguous blocks on worker threads;
 3. a (B+1) x L matrix of per-exponent p-values, one row per pool member,
    each column ranked leave-one-out inside the shared pool with the add-one
    rule (1 + count)/(B + 1);
@@ -48,6 +50,10 @@ from .ustat import TupleBudget, stat_core_for
 from .variance import jackknife_fast, permutation_sigma0_sq
 
 COMBINERS = ("fisher", "min", "cauchy")
+
+# Smallest n whose permutations run on worker threads. One test's B = 200 on
+# 2 cores, serial vs 2 blocks: n = 175 24.5 vs 25.5 ms, n = 200 31.6 vs 21.5 ms.
+_THREADED_MIN_N = 200
 
 _MASK64 = (1 << 64) - 1
 
@@ -143,16 +149,6 @@ def asymptotic_pvalue(scaled_mu: float, n: int, gamma: Gamma, sigma0: float, m: 
     return min(1.0, max(p, 5e-324))
 
 
-def _ordered_map(fn, items, threads: int) -> list:
-    """``[fn(x) for x in items]`` on at most ``min(threads, cpu count)``
-    worker threads; results keep the order of ``items``."""
-    workers = min(threads, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _pool_pvalues(pool: np.ndarray, tie_mode: str) -> np.ndarray:
     """Leave-one-out add-one p-values for every member of one statistic pool.
 
@@ -213,11 +209,17 @@ def permutation_test(
     scaled = np.empty((b_count + 1, n_g), dtype=np.float64)
     scaled[0] = scaled0
 
-    def one_replicate(b: int) -> np.ndarray:
-        perm = plan.permutation(b, n)
-        return gamma_stats(core.triple(perm), gammas)[1]
+    def fill(lo: int, hi: int) -> None:
+        for b in range(lo, hi):
+            scaled[b] = gamma_stats(core.triple(plan.permutation(b, n)), gammas)[1]
 
-    scaled[1:] = _ordered_map(one_replicate, range(1, b_count + 1), threads)
+    workers = min(threads, os.cpu_count() or 1) if n >= _THREADED_MIN_N else 1
+    if workers > 1:
+        edges = [1 + b_count * k // workers for k in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, edges[:-1], edges[1:]))
+    else:
+        fill(1, b_count + 1)
     finite = np.isfinite(scaled).all(axis=0)
     if not finite.all():
         bad = ", ".join(str(g) for g, ok in zip(glist, finite) if not ok)

@@ -47,6 +47,7 @@ def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
         stop = min(n, start + block)
         diff = m[start:stop, None, :] - m[None, :, :]
         np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=out[start:stop])
+        del diff  # free this block before the next one is allocated
     return out
 
 

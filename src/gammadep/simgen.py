@@ -29,7 +29,7 @@ import numpy as np
 
 from .data_model import GammaSet, KernelPairSpec, Sample, validate_sample
 from .errors import fail
-from .inference import COMBINERS, PermutationPlan, _ordered_map, derive_seed, permutation_test
+from .inference import COMBINERS, PermutationPlan, derive_seed, permutation_test
 from .kernels import resolve_kernel_spec
 
 # each null design draws x and y independently from one error family
@@ -334,9 +334,11 @@ def size_power_experiment(
 ) -> SizePowerResult:
     """Rejection frequencies of every per-exponent test and combiner.
 
-    Each replication derives its data seed and permutation seed from
-    (cfg.seed, replicate index), so the table is reproducible from the
-    config alone and invariant to thread count.
+    Replications run in sequence; each ``permutation_test`` gets ``threads``
+    and splits its own permutations over threads only from n = 200 on. Each
+    replication derives its data and permutation seeds from (cfg.seed, rep),
+    so the table is reproducible from the config alone and invariant to
+    thread count.
     """
     if cfg.reps < 100:
         raise fail("TOO_FEW_REPS", f"need reps >= 100, got {cfg.reps}")
@@ -344,19 +346,15 @@ def size_power_experiment(
     combiners = tuple(combiners)
     methods = tuple(glabels) + combiners
 
-    def one_rep(rep: int) -> np.ndarray:
+    pvals = np.empty((cfg.reps, len(methods)), dtype=np.float64)
+    for rep in range(cfg.reps):
         data_rng = _rng(derive_seed(cfg.seed, 0, rep))
         sample = validate_sample(*_draw_xy(cfg, cfg.n, data_rng))
         spec = resolve_kernel_spec(kernel, sample)
         plan = PermutationPlan(cfg.b_count, derive_seed(cfg.seed, 1, rep))
-        report = permutation_test(
-            sample, spec, gammas, plan, combiners, tie_mode=tie_mode
-        )
+        report = permutation_test(sample, spec, gammas, plan, combiners, tie_mode=tie_mode, threads=threads)
         row = [report.per_gamma[g].p_perm for g in gammas]
-        row += [report.combined[c].p_perm for c in combiners]
-        return np.array(row)
-
-    pvals = np.array(_ordered_map(one_rep, range(cfg.reps), threads), dtype=np.float64)
+        pvals[rep] = row + [report.combined[c].p_perm for c in combiners]
 
     rejections = tuple(int(c) for c in np.sum(pvals <= cfg.alpha, axis=0))
     return SizePowerResult(

@@ -273,26 +273,30 @@ def test_c8_pvalue_super_uniformity(null_studies):
 
 
 def test_c9_determinism_across_threads(tmp_path):
+    # n = 80 runs its permutations on one thread; n = 240 splits them over
+    # worker threads
     rng = np.random.default_rng(20240512)
-    data = rng.standard_normal((80, 8))
-    csv = tmp_path / "d.csv"
-    csv.write_text(
-        ",".join(f"c{i}" for i in range(8))
-        + "\n"
-        + "\n".join(",".join(repr(v) for v in row) for row in data.tolist())
-        + "\n",
-        encoding="utf-8",
-    )
-    args = [
-        "test", "--input", str(csv), "--x-cols", "0..4", "--y-cols", "4..8",
-        "--B", "200", "--seed", "99", "--reproducible",
-    ]
-    out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
-    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--threads", "4", "--out", str(out4)]) == 0
-    identical = out1.read_bytes() == out4.read_bytes()
-    parsed = json.loads(out1.read_text())
-    ok = identical and parsed["seed"] == 99
+    identical = {}
+    for n in (80, 240):
+        data = rng.standard_normal((n, 8))
+        csv = tmp_path / f"d{n}.csv"
+        csv.write_text(
+            ",".join(f"c{i}" for i in range(8))
+            + "\n"
+            + "\n".join(",".join(repr(v) for v in row) for row in data.tolist())
+            + "\n",
+            encoding="utf-8",
+        )
+        args = [
+            "test", "--input", str(csv), "--x-cols", "0..4", "--y-cols", "4..8",
+            "--B", "200", "--seed", "99", "--reproducible",
+        ]
+        out1, out4 = tmp_path / f"t1_{n}.json", tmp_path / f"t4_{n}.json"
+        assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
+        assert main(args + ["--threads", "4", "--out", str(out4)]) == 0
+        parsed = json.loads(out1.read_text())
+        identical[n] = out1.read_bytes() == out4.read_bytes() and parsed["seed"] == 99 and parsed["n"] == n
+    ok = all(identical.values())
     assert report(
         "criterion 9 (determinism across thread counts)",
         ok,

@@ -290,6 +290,19 @@ class TestSimulateCommand:
         assert rows["T1"]["rate"] == 1.0  # noiseless linear model
         assert doc["seed"] == 12
 
+    def test_json_format_stdout_is_one_document(self, capsys):
+        code = main(
+            [
+                "simulate", "--model", "m1", "--n", "30", "--d", "2", "--kappa", "0",
+                "--reps", "100", "--B", "40", "--gamma", "1,2", "--seed", "12",
+                "--format", "json", "--reproducible",
+            ]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == "simulate"
+        assert {r["method"] for r in doc["rows"]} == {"T1", "T2", "fisher", "min", "cauchy"}
+
 
 class TestOracleCheckCommand:
     def test_default_suite_passes(self, capsys):
@@ -297,6 +310,13 @@ class TestOracleCheckCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "dcov: PASS" in out and "ghsic: PASS" in out
+
+    def test_json_format_stdout_is_one_document(self, capsys):
+        code = main(["oracle-check", "--seeds", "4", "--seed", "1", "--n-max", "8", "--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == "oracle-check"
+        assert doc["status"] == "PASS"
 
     def test_pcov_reports_skipped(self, capsys):
         code = main(["oracle-check", "--kernel", "pcov", "--seeds", "3", "--seed", "1"])

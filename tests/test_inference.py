@@ -2,6 +2,7 @@
 pooling mechanics re-derived by hand, and seeded determinism."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from gammadep import (
     rate_w,
     validate_sample,
 )
+from gammadep.errors import fail
 from gammadep.inference import _pool_pvalues, derive_seed
 
 
@@ -176,6 +178,25 @@ class TestPermutationPlan:
             PermutationPlan(0, 1)
 
 
+def record_pools(monkeypatch, cpu_count):
+    """Patch the CPU count and record the max_workers of every thread pool
+    ``permutation_test`` opens."""
+    import os
+
+    from gammadep import inference
+
+    seen = []
+    real_pool = inference.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        seen.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(inference, "ThreadPoolExecutor", recording_pool)
+    return seen
+
+
 def small_sample(seed=0, n=30, dependent=False):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
@@ -271,38 +292,58 @@ class TestPermutationTest:
         count = sum(1 for v in pool[1:] if v > pool[0])
         assert report.per_gamma[1].p_perm == pytest.approx((1 + count) / 51.0, abs=1e-12)
 
-    def test_seeded_determinism_and_thread_invariance(self):
-        sample = small_sample(4, n=28)
+    def test_seeded_determinism_and_thread_invariance(self, monkeypatch):
+        # n = 200 is the smallest n whose permutations run on threads; B = 61
+        # splits into uneven blocks over 4 workers
+        sample = small_sample(4, n=200)
         spec = KernelPairSpec.dcov()
         gammas = GammaSet.default()
-        a = permutation_test(sample, spec, gammas, PermutationPlan(60, 5), threads=1)
-        b = permutation_test(sample, spec, gammas, PermutationPlan(60, 5), threads=4)
+        a = permutation_test(sample, spec, gammas, PermutationPlan(61, 5), threads=1)
+        seen = record_pools(monkeypatch, cpu_count=4)
+        b = permutation_test(sample, spec, gammas, PermutationPlan(61, 5), threads=4)
+        assert seen == [4]
         assert a.per_gamma == b.per_gamma
         assert a.combined == b.combined
         assert a.triple == b.triple
         assert a.sigma0_sq == b.sigma0_sq
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        import os
-
-        from gammadep import inference
-
-        seen = []
-        real_pool = inference.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            seen.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        sample = small_sample(14, n=20)
+        sample = small_sample(14, n=200)
         spec = KernelPairSpec.dcov()
         gammas = GammaSet((1, 2, INFINITY))
         serial = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", recording_pool)
+        seen = record_pools(monkeypatch, cpu_count=2)
         capped = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=8)
-        assert seen and max(seen) <= 2
+        assert seen == [2]
         assert capped == serial
+
+    def test_below_threaded_n_starts_no_pool(self, monkeypatch):
+        sample = small_sample(15, n=199)
+        spec = KernelPairSpec.dcov()
+        gammas = GammaSet((1, 2, INFINITY))
+        serial = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=1)
+        seen = record_pools(monkeypatch, cpu_count=8)
+        threaded = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=8)
+        assert seen == []
+        assert threaded == serial
+
+    def test_error_in_a_worker_propagates(self, monkeypatch):
+        from gammadep import inference
+
+        real = inference.gamma_stats
+
+        def overflow_off_the_main_thread(triple, gammas):
+            if threading.current_thread() is not threading.main_thread():
+                raise fail("NONFINITE", "injected overflow")
+            return real(triple, gammas)
+
+        seen = record_pools(monkeypatch, cpu_count=2)
+        monkeypatch.setattr(inference, "gamma_stats", overflow_off_the_main_thread)
+        sample = small_sample(16, n=200)
+        with pytest.raises(GammadepError) as exc:
+            permutation_test(sample, KernelPairSpec.dcov(), GammaSet((1,)), PermutationPlan(20, 1), threads=2)
+        assert exc.value.code == "NONFINITE"
+        assert seen == [2]
 
     def test_constant_y_degenerate_path(self):
         x = np.random.default_rng(6).standard_normal((20, 2))

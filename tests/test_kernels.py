@@ -1,6 +1,7 @@
 """Kernel-matrix construction checked against naive double-loop recomputation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gammadep import (
     pairwise_ghsic,
     validate_sample,
 )
-from gammadep.kernels import F1, F2, PairKernelMatrices, build_pair_matrices
+from gammadep.kernels import _BLOCK_ELEMS, F1, F2, PairKernelMatrices, build_pair_matrices
 
 
 def naive_distances(m):
@@ -59,6 +60,21 @@ class TestPairwiseDcov:
         m = rng.standard_normal((6, 2))
         c = 3.7
         assert np.allclose(pairwise_dcov(c * m), c * pairwise_dcov(m), rtol=1e-12)
+
+    def test_one_row_block_buffer_at_a_time(self):
+        # at n = 300, d = 400 one row block (17 x 300 x 400 floats, 16 MB)
+        # dwarfs the 0.7 MB output, so a second live block would show
+        n, d = 300, 400
+        m = np.random.default_rng(5).standard_normal((n, d))
+        block_bytes = (_BLOCK_ELEMS // (n * d)) * n * d * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = pairwise_dcov(m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 1.25 * block_bytes
 
 
 class TestPairwiseGhsic:

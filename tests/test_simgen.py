@@ -181,6 +181,7 @@ class TestSizePowerExperiment:
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         import os
+        import sys
 
         from gammadep import inference
 
@@ -188,17 +189,22 @@ class TestSizePowerExperiment:
         real_pool = inference.ThreadPoolExecutor
 
         def recording_pool(max_workers):
-            seen.append(max_workers)
+            seen.append((sys._getframe(1).f_code.co_name, max_workers))
             return real_pool(max_workers=max_workers)
 
-        cfg = SimConfig(model="null-b", n=12, d1=2, d2=2, reps=100, b_count=9, seed=56)
-        serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", recording_pool)
-        capped = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=8)
-        assert seen and max(seen) <= 2
-        assert capped == serial
-        assert np.array_equal(capped.pvalues, serial.pvalues)
+        # n = 200: every replication's test splits its permutations over a
+        # pool; n = 12: no pool at all
+        for n, pools in ((200, [("permutation_test", 2)] * 100), (12, [])):
+            cfg = SimConfig(model="null-b", n=n, d1=2, d2=2, reps=100, b_count=9, seed=56)
+            with monkeypatch.context() as patch:
+                serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)
+                patch.setattr(os, "cpu_count", lambda: 2)
+                patch.setattr(inference, "ThreadPoolExecutor", recording_pool)
+                capped = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=8)
+            assert seen == pools
+            assert capped == serial
+            assert np.array_equal(capped.pvalues, serial.pvalues)
+            seen.clear()
 
     def test_noiseless_linear_power_is_one(self):
         cfg = SimConfig(model="m1", n=30, d1=2, d2=2, kappa=0.0, reps=100, b_count=60, seed=54)
