@@ -78,11 +78,6 @@ def gamma_label(gamma: Gamma) -> str:
     return "inf" if is_infinity(gamma) else str(gamma)
 
 
-def gamma_is_even(gamma: Gamma) -> bool:
-    """True for finite even exponents (INFINITY is handled separately)."""
-    return not is_infinity(gamma) and gamma % 2 == 0
-
-
 def has_half_normal_limit(gamma: Gamma) -> bool:
     """True when the scaled statistic has the distribution-free null limit."""
     return is_infinity(gamma) or gamma % 2 == 0

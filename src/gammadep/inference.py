@@ -3,12 +3,14 @@ asymptotic p-value, and the three p-value combiners.
 
 Permutation flow for one sample (B replicates):
 
-1. scaled statistics on the original sample, one per exponent;
-2. for b = 1..B permute the y rows only and recompute the statistics
+1. metric values mu_hat on the original sample, one per exponent;
+2. for b = 1..B permute the y rows only and recompute mu_hat
    (kernel matrices are built once: permuting y rows permutes the rows and
    columns of B, so each replicate is a gather plus O(n^2) reductions).
    From n = 200 on, where the gathers release the GIL, b = 1..B runs as
-   ``min(threads, cpu count)`` contiguous blocks on worker threads;
+   ``min(threads, cpu count)`` contiguous blocks on worker threads. The
+   (B+1) x L pool of mu_hat is then scaled once by the per-exponent rate
+   row ``rate_w(n, gamma)``;
 3. a (B+1) x L matrix of per-exponent p-values, one row per pool member,
    each column ranked leave-one-out inside the shared pool with the add-one
    rule (1 + count)/(B + 1);
@@ -45,8 +47,8 @@ from .data_model import (
 )
 
 from .errors import fail
-from .metric import gamma_stats
-from .ustat import TupleBudget, stat_core_for
+from .metric import gamma_stats, rate_w
+from .ustat import stat_core_for
 from .variance import jackknife_fast, permutation_sigma0_sq
 
 COMBINERS = ("fisher", "min", "cauchy")
@@ -183,7 +185,6 @@ def permutation_test(
     *,
     tie_mode: str = "strict",
     threads: int = 1,
-    budget: Optional[TupleBudget] = None,
 ) -> TestReport:
     """Run the full permutation procedure and assemble a TestReport."""
     if plan.seed is None:
@@ -198,20 +199,18 @@ def permutation_test(
     if n < spec.m:
         raise fail("TOO_SMALL", f"need n >= {spec.m}, got n={n}")
 
-    core = stat_core_for(sample, spec, budget)
+    core = stat_core_for(sample, spec)
     glist = tuple(gammas)
     n_g = len(glist)
     b_count = plan.b_count
 
     triple0 = core.triple(None)
-    mu0, scaled0 = gamma_stats(triple0, gammas)
-
-    scaled = np.empty((b_count + 1, n_g), dtype=np.float64)
-    scaled[0] = scaled0
+    mu = np.empty((b_count + 1, n_g), dtype=np.float64)
+    mu[0] = gamma_stats(triple0, gammas)
 
     def fill(lo: int, hi: int) -> None:
         for b in range(lo, hi):
-            scaled[b] = gamma_stats(core.triple(plan.permutation(b, n)), gammas)[1]
+            mu[b] = gamma_stats(core.triple(plan.permutation(b, n)), gammas)
 
     workers = min(threads, os.cpu_count() or 1) if n >= _THREADED_MIN_N else 1
     if workers > 1:
@@ -220,6 +219,9 @@ def permutation_test(
             list(pool.map(fill, edges[:-1], edges[1:]))
     else:
         fill(1, b_count + 1)
+    scaled = mu * np.array([rate_w(n, g) for g in glist])
+    mu0 = mu[0]
+    scaled0 = scaled[0]
     finite = np.isfinite(scaled).all(axis=0)
     if not finite.all():
         bad = ", ".join(str(g) for g, ok in zip(glist, finite) if not ok)

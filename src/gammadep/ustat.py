@@ -233,8 +233,8 @@ class PcovPermCore:
         return StatTriple(s1, s2, s3, self.n, self.spec)
 
 
-def stat_core_for(sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None):
+def stat_core_for(sample: Sample, spec: KernelPairSpec):
     """Engine with a ``triple(perm)`` method for the given kernel."""
     if spec.is_pair_dependent:
         return PairStatCore(build_pair_matrices(sample, spec))
-    return PcovPermCore(sample, spec, budget)
+    return PcovPermCore(sample, spec)

@@ -203,7 +203,7 @@ class TestTestCommand:
         assert "NONFINITE" in err and "gamma 6" in err
 
     def test_overflowing_pow_is_data_error(self, tmp_path, capsys):
-        # u ~ 1e35, so float u**10 raises OverflowError inside aggregate
+        # u ~ 1e35, so u^10 (a product of 10 factors) is inf inside aggregate
         path = self._scaled_csv(tmp_path, 1e18)
         code = main(
             ["test", "--input", path, "--x-cols", "0..2", "--y-cols", "2..4", "--B", "19",

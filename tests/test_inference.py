@@ -327,6 +327,30 @@ class TestPermutationTest:
         assert seen == []
         assert threaded == serial
 
+    def test_rate_row_built_once_per_test(self, monkeypatch):
+        # rate_w depends only on (n, gamma): L calls per test, while the
+        # metric still runs once per replicate
+        from gammadep import inference, metric
+
+        rates, stats = [], []
+        real_rate, real_stats = metric.rate_w, inference.gamma_stats
+
+        def counting_rate(n, g):
+            rates.append(g)
+            return real_rate(n, g)
+
+        def counting_stats(triple, gammas):
+            stats.append(triple)
+            return real_stats(triple, gammas)
+
+        for mod in (metric, inference):
+            monkeypatch.setattr(mod, "rate_w", counting_rate, raising=False)
+        monkeypatch.setattr(inference, "gamma_stats", counting_stats)
+        gammas = GammaSet.default()
+        permutation_test(small_sample(17, n=30), KernelPairSpec.dcov(), gammas, PermutationPlan(40, 3))
+        assert rates == list(gammas)
+        assert len(stats) == 41
+
     def test_error_in_a_worker_propagates(self, monkeypatch):
         from gammadep import inference
 

@@ -1,18 +1,25 @@
-"""Aggregation-layer tests: worked examples plus the four ordering clauses."""
+"""Aggregation-layer tests: worked examples, the four ordering clauses, exact
+laws of the one signed-root formula, and the rate row of a report."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gammadep import (
     INFINITY,
+    GammadepError,
     GammaSet,
     KernelPairSpec,
+    PermutationPlan,
     StatTriple,
     aggregate,
     gamma_stats,
+    permutation_test,
     rate_w,
+    validate_sample,
 )
 
 SLACK = 1e-12
@@ -44,7 +51,7 @@ class TestAggregate:
         for _ in range(200):
             u, v = rng.standard_normal(2)
             for g in (1, 2, 3, 4, 5, INFINITY):
-                assert aggregate(u, v, g) == pytest.approx(aggregate(v, u, g), rel=1e-12, abs=1e-300)
+                assert aggregate(u, v, g) == aggregate(v, u, g)
 
     def test_nonnegative_for_even_and_max_when_sum_nonneg(self):
         rng = np.random.default_rng(1)
@@ -54,6 +61,73 @@ class TestAggregate:
             assert aggregate(u, v, 2) >= 0.0
             assert aggregate(u, v, 6) >= 0.0
             assert aggregate(u, v, INFINITY) >= -SLACK
+
+    def test_overflow_raises_for_every_finite_gamma(self):
+        for u, v, g in ((1e308, 1e308, 1), (1e200, 0.0, 2), (-1e200, 1e200, 3), (1e200, 0.0, 10)):
+            with pytest.raises(GammadepError) as exc:
+                aggregate(u, v, g)
+            assert exc.value.code == "NONFINITE"
+            assert f"u^{g}" in str(exc.value) and f"gamma {g}" in str(exc.value)
+
+
+def _loop_pow(base, k):
+    out = 1.0
+    for _ in range(k):
+        out *= base
+    return out
+
+
+def _seeded_pairs():
+    rng = np.random.default_rng(5)
+    pairs = [(0.0, 0.0), (0.0, 1.5), (-2.0, 0.0), (0.3, -0.3), (-1e-120, -1e-120)]
+    for _ in range(2000):
+        u, v = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 2, size=2)
+        pairs.append((float(u), float(v)))
+    return pairs
+
+
+class TestOneFormulaMatchesDeletedBranches:
+    """The single signed-root formula reproduces, bit for bit, the separate
+    even and odd (gamma <= 8) branches it replaced; gamma = 1 is checked
+    against u + v in TestAggregateLaws."""
+
+    def test_even_is_the_plain_root(self):
+        for g in (2, 4, 6, 8):
+            for u, v in _seeded_pairs():
+                s = _loop_pow(u, g) + _loop_pow(v, g)
+                assert aggregate(u, v, g) == s ** (1.0 / g)
+
+    def test_odd_is_the_signed_root(self):
+        for g in (3, 5, 7):
+            for u, v in _seeded_pairs():
+                s = _loop_pow(u, g) + _loop_pow(v, g)
+                want = float(np.copysign(abs(s) ** (1.0 / g), s)) if s != 0.0 else 0.0
+                assert aggregate(u, v, g) == want
+
+
+_finite = st.floats(min_value=-1e30, max_value=1e30, allow_nan=False, allow_infinity=False)
+_gammas = st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, INFINITY))
+
+
+class TestAggregateLaws:
+    @settings(derandomize=True, deadline=None)
+    @given(_finite, _finite, _gammas)
+    def test_symmetric_in_u_and_v(self, u, v, g):
+        assert aggregate(u, v, g) == aggregate(v, u, g)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_finite, _finite)
+    @example(0.0, 0.0)
+    @example(0.0, -1.5)
+    @example(0.3, -0.3)
+    def test_gamma_one_is_the_sum(self, u, v):
+        assert aggregate(u, v, 1) == u + v
+
+    @settings(derandomize=True, deadline=None)
+    @given(_finite, _finite, st.sampled_from((2, 4, 6, 8, INFINITY)))
+    def test_even_and_max_nonnegative_when_sum_is(self, u, v, g):
+        if u + v >= 0.0:
+            assert aggregate(u, v, g) >= 0.0
 
 
 class TestRateW:
@@ -137,30 +211,36 @@ class TestOrderingClauses:
 class TestGammaStats:
     def test_zero_triple(self):
         t = StatTriple(0.0, 0.0, 0.0, 50, KernelPairSpec.dcov())
-        mu, scaled = gamma_stats(t, GammaSet.default())
-        assert mu.shape == scaled.shape == (len(GammaSet.default()),)
+        mu = gamma_stats(t, GammaSet.default())
+        assert mu.shape == (len(GammaSet.default()),)
         assert np.all(mu == 0.0)
-        assert np.all(scaled == 0.0)
 
     def test_gamma_one_recovers_linear_combination(self):
         t = StatTriple(1.3, 0.9, 0.7, 36, KernelPairSpec.dcov())
-        mu, scaled = gamma_stats(t, GammaSet((1,)))
+        mu = gamma_stats(t, GammaSet((1,)))
+        assert mu.shape == (1,)
         assert mu[0] == pytest.approx(t.s1 + t.s2 - 2.0 * t.s3, rel=1e-12)
-        assert scaled[0] == pytest.approx(36.0 * mu[0], rel=1e-12)
 
     def test_entries_are_aggregate_times_rate(self):
         t = StatTriple(1.0, 0.4, 0.6, 25, KernelPairSpec.dcov())
         gammas = GammaSet.default()
-        mu, scaled = gamma_stats(t, gammas)
+        mu = gamma_stats(t, gammas)
         for j, g in enumerate(gammas):
             assert mu[j] == aggregate(t.u, t.v, g)
-            assert scaled[j] == rate_w(25, g) * aggregate(t.u, t.v, g)
+        # the report scales mu_hat by the rate row, one IEEE multiply each
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((25, 2))
+        sample = validate_sample(x, x + rng.standard_normal((25, 2)))
+        report = permutation_test(sample, KernelPairSpec.dcov(), gammas, PermutationPlan(19, 2))
+        for g in gammas:
+            res = report.per_gamma[g]
+            assert res.scaled_stat == res.mu_hat * rate_w(25, g)
 
     def test_cross_gamma_ordering_on_estimates(self):
         # mixed-sign estimates: even exponents dominate, max next, odd grow
         t = StatTriple(1.0, 0.4, 0.6, 25, KernelPairSpec.dcov())
         gammas = GammaSet.default()
-        by_gamma = dict(zip(gammas, gamma_stats(t, gammas)[0]))
+        by_gamma = dict(zip(gammas, gamma_stats(t, gammas)))
         u, v = t.u, t.v  # 0.4, -0.2
         assert u + v > 0 and min(u, v) < 0
         assert by_gamma[2] > by_gamma[4] > by_gamma[6] > by_gamma[INFINITY]
