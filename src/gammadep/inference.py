@@ -6,8 +6,10 @@ Permutation flow for one sample (B replicates):
 1. metric values mu_hat on the original sample, one per exponent;
 2. for b = 1..B permute the y rows only and recompute mu_hat
    (kernel matrices are built once: permuting y rows permutes the rows and
-   columns of B, so each replicate is a gather plus O(n^2) reductions).
-   From n = 200 on, where the gathers release the GIL, b = 1..B runs as
+   columns of B, so each replicate is a row-blocked gather of B against A,
+   about 256 KB per block with no n x n temporary, plus O(n) reductions).
+   The gathers release the GIL, and from n = 675 on (``_THREADED_MIN_N``,
+   where a second thread was measured to pay) b = 1..B runs as
    ``min(threads, cpu count)`` contiguous blocks on worker threads. The
    (B+1) x L pool of mu_hat is then scaled once by the per-exponent rate
    row ``rate_w(n, gamma)``;
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -53,11 +56,18 @@ from .variance import jackknife_fast, permutation_sigma0_sq
 
 COMBINERS = ("fisher", "min", "cauchy")
 
-# Smallest n whose permutations run on worker threads. One test's B = 200 on
-# 2 cores, serial vs 2 blocks: n = 175 24.5 vs 25.5 ms, n = 200 31.6 vs 21.5 ms.
-_THREADED_MIN_N = 200
+# Smallest n whose permutations run on worker threads. One dcov test's
+# B = 200 at d = 5 on 2 cores, medians of 9, serial vs 2 blocks: n = 500
+# 232 vs 235 ms, n = 650 287 vs 309 ms, n = 675 386 vs 250 ms, n = 1500
+# 1972 vs 1117 ms.
+_THREADED_MIN_N = 675
 
 _MASK64 = (1 << 64) - 1
+
+# One Philox generator per thread, re-keyed for every draw: building a fresh
+# Philox(key=...) also builds a SeedSequence that reads OS entropy. Worker
+# threads draw at the same time, so they cannot share one.
+_DRAW = threading.local()
 
 
 def _mix64(z: int) -> int:
@@ -95,7 +105,18 @@ class PermutationPlan:
             raise fail("SEED_REQUIRED", "plan has no seed")
         k0 = derive_seed(self.seed, b)
         k1 = _mix64(k0 ^ 0xD6E8FEB86659FD93)
-        rng = np.random.Generator(np.random.Philox(key=np.array([k0, k1], dtype=np.uint64)))
+        rng = getattr(_DRAW, "rng", None)
+        if rng is None:
+            rng = _DRAW.rng = np.random.Generator(np.random.Philox(0))
+        # The state of a fresh Philox(key=(k0, k1)): counter 0, empty buffer.
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([k0, k1], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return rng.permutation(n)
 
 

@@ -335,7 +335,8 @@ def size_power_experiment(
     """Rejection frequencies of every per-exponent test and combiner.
 
     Replications run in sequence; each ``permutation_test`` gets ``threads``
-    and splits its own permutations over threads only from n = 200 on. Each
+    and splits its own permutations over threads only from
+    ``inference._THREADED_MIN_N`` (675) on. Each
     replication derives its data and permutation seeds from (cfg.seed, rep),
     so the table is reproducible from the config alone and invariant to
     thread count.

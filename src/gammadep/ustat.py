@@ -25,6 +25,12 @@ sum over ordered distinct triples (i,j,k) of a_ij b_ik):
 The s2 numerator subtracts, from the product of the two full off-diagonal
 sums, the tuples whose index pairs share one index (4 Sig3: four positions
 the shared index can occupy) or both (2 T1: the pair and its reversal).
+
+Permuting the y rows by pi changes only T1 and sum_i r_i c_pi(i). T1(pi) =
+<A~, B~[pi][:, pi]> is a row-blocked gather (``_t1``): blocks of about 256
+KB of B~ are gathered, multiplied by the matching rows of A~ and summed, so
+a permuted triple builds no n x n temporary. The unpermuted T1 sums the same
+blocks in the same order.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ from .kernels import (
 
 # Hard ceiling on enumerated tuples regardless of the configured budget.
 _MAX_TUPLES = 10_000_000
+
+# Elements in one row block of the T1 gather (256 KB of float64): small
+# enough for L2, and a single block for every n <= 181.
+_GATHER_ELEMS = 1 << 15
 
 # All 24 orderings (u, v, w) of three distinct positions out of four,
 # used by the symmetrized one-sided kernel.
@@ -122,13 +132,38 @@ def brute_force_triple(
     return StatTriple(s1 / count, s2 / count, s3 / count, n, spec)
 
 
+def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
+    """T1 = <A~, B~[perm][:, perm]>, or <A~, B~> when ``perm`` is None.
+
+    Walks blocks of ``_GATHER_ELEMS // n`` rows: each block of B~ is gathered
+    (rows, then columns), multiplied in place by the same rows of A~ and
+    summed, so at most two blocks are live and no n x n temporary is built.
+    The unpermuted T1 takes the same blocks and the same reduction order, so
+    a permutation that leaves B~ unchanged (swapping two identical y rows)
+    reproduces it bit for bit.
+    """
+    n = a.shape[0]
+    rows = max(1, _GATHER_ELEMS // n)
+    total = 0.0
+    for lo in range(0, n, rows):
+        hi = lo + rows
+        if perm is None:
+            blk = b[lo:hi] * a[lo:hi]
+        else:
+            blk = b.take(perm[lo:hi], axis=0).take(perm, axis=1)
+            blk *= a[lo:hi]
+        total += float(blk.sum())
+        del blk  # free this block before the next one is gathered
+    return total
+
+
 class PairStatCore:
     """Reusable O(n^2) engine for one pair of kernel matrices.
 
     Precomputes everything that survives a permutation of the y rows:
     permuting y by pi turns B~ into B~[pi][:, pi], whose row sums are just
-    c[pi], so a permuted triple costs one elementwise product over B~ plus
-    O(n) reductions.
+    c[pi], so a permuted triple is one row-blocked gather of B~ against A~
+    (``_t1``, two rows x n blocks live at a time) plus O(n) reductions.
     """
 
     def __init__(self, mats: PairKernelMatrices):
@@ -148,13 +183,8 @@ class PairStatCore:
     def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
         """Triple for the sample with y rows permuted by ``perm`` (or not)."""
         n = self.n
-        if perm is None:
-            bperm = self.mats.b
-            cperm = self.c
-        else:
-            bperm = self.mats.b[np.ix_(perm, perm)]
-            cperm = self.c[perm]
-        t1 = float(np.sum(self.mats.a * bperm))
+        cperm = self.c if perm is None else self.c[perm]
+        t1 = _t1(self.mats.a, self.mats.b, perm)
         sig3 = float(self.r @ cperm) - t1
         s1 = t1 / (n * (n - 1))
         s3 = sig3 / (n * (n - 1) * (n - 2))

@@ -27,7 +27,8 @@ from gammadep import (
     validate_sample,
 )
 from gammadep.errors import fail
-from gammadep.inference import _pool_pvalues, derive_seed
+from gammadep.inference import _THREADED_MIN_N, _pool_pvalues, derive_seed
+from gammadep.ustat import PairStatCore
 
 
 class TestAsymptoticPvalue:
@@ -177,6 +178,43 @@ class TestPermutationPlan:
         with pytest.raises(GammadepError):
             PermutationPlan(0, 1)
 
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_equals_a_fresh_philox_per_draw(self, threads):
+        # the re-keyed per-thread generator draws what a new Philox(key=...)
+        # Generator would, also while threads draw at once; a short switch
+        # interval makes a generator shared between threads show
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from gammadep.inference import _mix64
+
+        def fresh(seed, b, n):
+            k0 = derive_seed(seed, b)
+            key = np.array([k0, _mix64(k0 ^ 0xD6E8FEB86659FD93)], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key)).permutation(n)
+
+        grid = [
+            (seed, b, n)
+            for seed in (0, 1, 12345, 2**64 - 1)
+            for b in (0, 1, 2, 199, 10**6)
+            for n in (1, 2, 5, 100, 1000)
+        ]
+
+        def draw(block):
+            return [PermutationPlan(16, seed).permutation(b, n) for seed, b, n in block]
+
+        blocks = [grid[k::threads] for k in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                drawn = list(pool.map(draw, blocks * 20, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for block, perms in zip(blocks * 20, drawn):
+            for (seed, b, n), perm in zip(block, perms):
+                assert np.array_equal(perm, fresh(seed, b, n))
+
 
 def record_pools(monkeypatch, cpu_count):
     """Patch the CPU count and record the max_workers of every thread pool
@@ -293,9 +331,9 @@ class TestPermutationTest:
         assert report.per_gamma[1].p_perm == pytest.approx((1 + count) / 51.0, abs=1e-12)
 
     def test_seeded_determinism_and_thread_invariance(self, monkeypatch):
-        # n = 200 is the smallest n whose permutations run on threads; B = 61
-        # splits into uneven blocks over 4 workers
-        sample = small_sample(4, n=200)
+        # the smallest n whose permutations run on threads; B = 61 splits
+        # into uneven blocks over 4 workers
+        sample = small_sample(4, n=_THREADED_MIN_N)
         spec = KernelPairSpec.dcov()
         gammas = GammaSet.default()
         a = permutation_test(sample, spec, gammas, PermutationPlan(61, 5), threads=1)
@@ -308,7 +346,7 @@ class TestPermutationTest:
         assert a.sigma0_sq == b.sigma0_sq
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        sample = small_sample(14, n=200)
+        sample = small_sample(14, n=_THREADED_MIN_N)
         spec = KernelPairSpec.dcov()
         gammas = GammaSet((1, 2, INFINITY))
         serial = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=1)
@@ -318,7 +356,7 @@ class TestPermutationTest:
         assert capped == serial
 
     def test_below_threaded_n_starts_no_pool(self, monkeypatch):
-        sample = small_sample(15, n=199)
+        sample = small_sample(15, n=_THREADED_MIN_N - 1)
         spec = KernelPairSpec.dcov()
         gammas = GammaSet((1, 2, INFINITY))
         serial = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=1)
@@ -363,7 +401,7 @@ class TestPermutationTest:
 
         seen = record_pools(monkeypatch, cpu_count=2)
         monkeypatch.setattr(inference, "gamma_stats", overflow_off_the_main_thread)
-        sample = small_sample(16, n=200)
+        sample = small_sample(16, n=_THREADED_MIN_N)
         with pytest.raises(GammadepError) as exc:
             permutation_test(sample, KernelPairSpec.dcov(), GammaSet((1,)), PermutationPlan(20, 1), threads=2)
         assert exc.value.code == "NONFINITE"
@@ -461,8 +499,9 @@ def peak_nxn(fn, n):
 
 
 class TestMemory:
-    # The shared zero-diagonal pair: a test holds A~, B~, one gathered B~
-    # and one product (4 n x n); the jackknife only its one product.
+    # The shared zero-diagonal pair: a test holds A~ and B~, and a permuted
+    # triple only two row blocks of its T1 gather (the kernel build peaks
+    # higher); the jackknife holds its one product.
     # d = 1 keeps the distance pass's row-block buffer (d n^2 floats at this
     # n, capped at 16 MB) below the matrices being counted.
     N = 200
@@ -479,6 +518,15 @@ class TestMemory:
             permutation_test(s, KernelPairSpec.dcov(), GammaSet.default(), plan, threads=1)
 
         assert peak_nxn(run, self.N) <= 4.5
+
+    def test_permuted_triple_holds_no_matrix(self):
+        # at n = 600 one gather block is 54 rows: two blocks are 0.18 n x n
+        n = 600
+        rng = np.random.default_rng(32)
+        s = validate_sample(rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
+        core = PairStatCore(build_pair_matrices(s, KernelPairSpec.dcov()))
+        perm = PermutationPlan(1, 3).permutation(1, n)
+        assert peak_nxn(lambda: core.triple(perm), n) <= 0.25
 
     def test_jackknife_fast_holds_one_matrix(self):
         mats = build_pair_matrices(self.sample(), KernelPairSpec.dcov())

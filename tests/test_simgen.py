@@ -192,9 +192,10 @@ class TestSizePowerExperiment:
             seen.append((sys._getframe(1).f_code.co_name, max_workers))
             return real_pool(max_workers=max_workers)
 
-        # n = 200: every replication's test splits its permutations over a
-        # pool; n = 12: no pool at all
-        for n, pools in ((200, [("permutation_test", 2)] * 100), (12, [])):
+        # from inference._THREADED_MIN_N every replication's test splits its
+        # permutations over a pool; n = 12: no pool at all
+        threaded_n = inference._THREADED_MIN_N
+        for n, pools in ((threaded_n, [("permutation_test", 2)] * 100), (12, [])):
             cfg = SimConfig(model="null-b", n=n, d1=2, d2=2, reps=100, b_count=9, seed=56)
             with monkeypatch.context() as patch:
                 serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)

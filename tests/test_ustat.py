@@ -20,7 +20,7 @@ from gammadep import (
     symmetrized_psi_pair,
     validate_sample,
 )
-from gammadep.ustat import PcovPermCore
+from gammadep.ustat import PairStatCore, PcovPermCore
 
 
 def dcov_sample(rng, n, d1=3, d2=2, dependent=False):
@@ -291,6 +291,39 @@ class TestFastTriplePair:
         with pytest.raises(GammadepError) as exc:
             fast_triple_pair(mats_n3)
         assert exc.value.code == "TOO_SMALL"
+
+
+class TestRowBlockedT1:
+    # 181 is the largest n gathered as one block; 182 and 183 leave a short
+    # last block; 300 and 1000 walk many blocks.
+    @pytest.mark.parametrize("n", [4, 5, 181, 182, 183, 300, 1000])
+    def test_matches_the_full_gather(self, n):
+        rng = np.random.default_rng(n)
+        mats = build_pair_matrices(dcov_sample(rng, n, dependent=True), KernelPairSpec.dcov())
+        core = PairStatCore(mats)
+        for perm in (rng.permutation(n), None):
+            p = np.arange(n) if perm is None else perm
+            ref = np.sum(mats.a * mats.b[np.ix_(p, p)])
+            assert core.triple(perm).s1 * n * (n - 1) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
+    @pytest.mark.parametrize("n", [120, 300])
+    def test_swapping_identical_y_rows_is_an_exact_tie(self, kind, n):
+        rng = np.random.default_rng(n + len(kind))
+        for _ in range(10):
+            x = rng.standard_normal((n, 3))
+            y = rng.standard_normal((n, 2))
+            i, j = rng.choice(n, 2, replace=False)
+            y[j] = y[i]
+            s = validate_sample(x, y)
+            if kind == "dcov":
+                spec = KernelPairSpec.dcov()
+            else:
+                spec = KernelPairSpec.ghsic(median_bandwidth(s.x), median_bandwidth(s.y))
+            core = PairStatCore(build_pair_matrices(s, spec))
+            perm = np.arange(n)
+            perm[[i, j]] = j, i
+            assert core.triple(perm) == core.triple(None)
 
 
 class TestPcovEnumeration:
