@@ -499,34 +499,41 @@ def peak_nxn(fn, n):
 
 
 class TestMemory:
-    # The shared zero-diagonal pair: a test holds A~ and B~, and a permuted
-    # triple only two row blocks of its T1 gather (the kernel build peaks
-    # higher); the jackknife holds its one product.
-    # d = 1 keeps the distance pass's row-block buffer (d n^2 floats at this
-    # n, capped at 16 MB) below the matrices being counted.
-    N = 200
+    # The shared zero-diagonal pair: a test holds A~ and B~, and on top of
+    # them one distance tile while B~ is built, two row blocks of the T1
+    # gather in a permuted triple, or the jackknife's one product. The tile
+    # (512 KB) and the two gather blocks (256 KB each) do not grow with n;
+    # at this n each is 0.18 n x n (at n = 200 the gather blocks alone are
+    # 1.6).
+    N = 600
 
-    def sample(self):
-        rng = np.random.default_rng(31)
-        return validate_sample(rng.standard_normal((self.N, 1)), rng.standard_normal((self.N, 1)))
+    def sample(self, d=1, seed=31):
+        rng = np.random.default_rng(seed)
+        return validate_sample(rng.standard_normal((self.N, d)), rng.standard_normal((self.N, d)))
 
-    def test_permutation_test_holds_four_matrices(self):
+    def test_permutation_test_holds_three_matrices(self):
         s = self.sample()
 
         def run():
             plan = PermutationPlan(20, 3)
             permutation_test(s, KernelPairSpec.dcov(), GammaSet.default(), plan, threads=1)
 
-        assert peak_nxn(run, self.N) <= 4.5
+        assert peak_nxn(run, self.N) <= 3.5
+
+    @pytest.mark.parametrize(
+        "spec, d",
+        [(KernelPairSpec.dcov(), 1), (KernelPairSpec.dcov(), 5), (KernelPairSpec.ghsic(1.0, 2.0), 5)],
+        ids=["dcov-d1", "dcov-d5", "ghsic-d5"],
+    )
+    def test_build_pair_matrices_holds_two_matrices_and_a_tile(self, spec, d):
+        s = self.sample(d, seed=33)
+        assert peak_nxn(lambda: build_pair_matrices(s, spec), self.N) <= 2.25
 
     def test_permuted_triple_holds_no_matrix(self):
-        # at n = 600 one gather block is 54 rows: two blocks are 0.18 n x n
-        n = 600
-        rng = np.random.default_rng(32)
-        s = validate_sample(rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
-        core = PairStatCore(build_pair_matrices(s, KernelPairSpec.dcov()))
-        perm = PermutationPlan(1, 3).permutation(1, n)
-        assert peak_nxn(lambda: core.triple(perm), n) <= 0.25
+        # two gather blocks of 54 rows each
+        core = PairStatCore(build_pair_matrices(self.sample(seed=32), KernelPairSpec.dcov()))
+        perm = PermutationPlan(1, 3).permutation(1, self.N)
+        assert peak_nxn(lambda: core.triple(perm), self.N) <= 0.25
 
     def test_jackknife_fast_holds_one_matrix(self):
         mats = build_pair_matrices(self.sample(), KernelPairSpec.dcov())

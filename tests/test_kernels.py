@@ -15,7 +15,14 @@ from gammadep import (
     pairwise_ghsic,
     validate_sample,
 )
-from gammadep.kernels import _BLOCK_ELEMS, F1, F2, PairKernelMatrices, build_pair_matrices
+from gammadep.kernels import (
+    _TILE_ELEMS,
+    F1,
+    F2,
+    PairKernelMatrices,
+    _pairwise_distances,
+    build_pair_matrices,
+)
 
 
 def naive_distances(m):
@@ -61,12 +68,14 @@ class TestPairwiseDcov:
         c = 3.7
         assert np.allclose(pairwise_dcov(c * m), c * pairwise_dcov(m), rtol=1e-12)
 
-    def test_one_row_block_buffer_at_a_time(self):
-        # at n = 300, d = 400 one row block (17 x 300 x 400 floats, 16 MB)
-        # dwarfs the 0.7 MB output, so a second live block would show
-        n, d = 300, 400
+    @pytest.mark.parametrize("d", [400, 1])
+    def test_one_tile_buffer(self, d):
+        # at n = 300 the output is 0.7 MB and the tile buffer at most
+        # 8 * _TILE_ELEMS bytes (0.5 MB); a per-tile temporary would show.
+        # The broadcast subtraction and the root on a strided tile also
+        # fill numpy's two ufunc buffers, one call at a time.
+        n = 300
         m = np.random.default_rng(5).standard_normal((n, d))
-        block_bytes = (_BLOCK_ELEMS // (n * d)) * n * d * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -74,7 +83,55 @@ class TestPairwiseDcov:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 1.25 * block_bytes
+        assert peak <= out.nbytes + 8 * _TILE_ELEMS + 2 * 8 * np.getbufsize() + 4096
+
+
+def one_piece_distances(m):
+    diff = m[:, None] - m[None]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+class TestDistanceTiles:
+    """The tiled pass against the one-piece reduction, bit for bit, at and
+    around the tile edges."""
+
+    D_SMALL_TILE = 64  # 32 x 32 tiles
+
+    def check(self, n, d, seed=0):
+        m = np.random.default_rng(seed).standard_normal((n, d))
+        got = _pairwise_distances(m)
+        assert np.array_equal(got, one_piece_distances(m))
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diagonal(got) == 0.0)
+
+    def test_tile_sides_used_below(self):
+        # side = isqrt(_TILE_ELEMS // d), at least 2
+        assert math.isqrt(_TILE_ELEMS // self.D_SMALL_TILE) == 32
+        assert math.isqrt(_TILE_ELEMS // 1) == 256
+        assert math.isqrt(_TILE_ELEMS // (_TILE_ELEMS + 1)) < 2
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 97])
+    def test_around_tile_edges(self, n):
+        self.check(n, self.D_SMALL_TILE)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+    def test_one_column(self, n):
+        self.check(n, 1, seed=1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_smallest_tiles(self, n):
+        # the 2 x 2 floor: at this d a lone 1 x 1 tile's einsum would move
+        # the last bit; n = 3 and 5 end in a 1 x 1 diagonal tile
+        self.check(n, _TILE_ELEMS + 1, seed=2)
+
+    def test_close_rows_keep_their_digits(self):
+        # rows 1e-6 apart at 1e3, where a Gram-matrix shortcut would cancel;
+        # 85 x 85 tiles at d = 9
+        rng = np.random.default_rng(3)
+        m = 1e3 + 1e-6 * rng.standard_normal((200, 9))
+        got = _pairwise_distances(m)
+        assert np.array_equal(got, one_piece_distances(m))
+        assert np.all(got[~np.eye(200, dtype=bool)] > 1e-7)
 
 
 class TestPairwiseGhsic:
@@ -93,6 +150,9 @@ class TestPairwiseGhsic:
         sigma = median_bandwidth(m)
         naive = np.exp(-naive_distances(m.tolist()) / (2 * sigma**2))
         assert np.allclose(pairwise_ghsic(m, sigma), naive, atol=1e-12, rtol=0)
+        # the in-place exponent is the out-of-place formula, bit for bit
+        expected = np.exp(-pairwise_dcov(m) / (2.0 * sigma * sigma))
+        assert np.array_equal(pairwise_ghsic(m, sigma), expected)
 
     def test_unit_diagonal_and_range(self):
         rng = np.random.default_rng(5)
@@ -131,6 +191,8 @@ class TestMedianBandwidth:
             math.dist(m[i], m[j]) for i in range(10) for j in range(i + 1, 10)
         )
         assert median_bandwidth(m) == pytest.approx(float(np.median(dists)), rel=1e-12)
+        upper = pairwise_dcov(m)[np.triu_indices(10, k=1)]
+        assert median_bandwidth(m) == float(np.median(upper))
 
 
 class TestEvalGenericKernel:
