@@ -1,10 +1,11 @@
-"""Pairwise kernel matrices and generic m-argument kernel evaluation.
+"""Pairwise kernel matrices and batched m-argument kernel evaluation.
 
 Two computation routes live here on purpose. ``pairwise_dcov`` /
 ``pairwise_ghsic`` build the n x n matrices consumed by the O(n^2) fast
-paths; ``eval_generic_kernel`` evaluates a single kernel value from raw
-coordinate vectors and backs the brute-force enumeration used as the
-correctness oracle.
+paths; ``kernel_values`` evaluates f1 or f2 over a block of coordinate
+tuples, one value per tuple. It backs the brute-force enumeration used as
+the correctness oracle (through ``pair_value_table`` and
+``apex_value_table``) and the Monte-Carlo population means in ``simgen``.
 
 The distance matrix behind both builders is computed on the upper triangle
 only, in cache-sized tiles of row pairs that share one preallocated buffer,
@@ -118,34 +119,35 @@ def median_bandwidth(matrix) -> float:
     return float(np.median(positive))
 
 
-def eval_generic_kernel(spec: KernelPairSpec, which: str, args) -> float:
-    """Evaluate f1 or f2 at one tuple of m coordinate vectors.
+def kernel_values(spec: KernelPairSpec, which: str, z) -> np.ndarray:
+    """f1 or f2 at every row of a (count, m, d) block of coordinate tuples.
 
-    For the angle kernel the cosine is clamped to [-1, 1] before arccos
+    Pair kernels read z1 and z2 of each tuple; the angle kernel reads z1, z2
+    and the apex z5. Its cosine is clamped to [-1, 1] before arccos
     (floating-point cosines of parallel vectors can land at 1 + ~1e-16).
     """
     if which not in (F1, F2):
         raise fail("BAD_KERNEL", f"which must be 'f1' or 'f2', got {which!r}")
-    if len(args) != spec.m:
-        raise fail("ARITY", f"{spec.id} takes {spec.m} arguments, got {len(args)}")
-    vecs = [np.asarray(a, dtype=np.float64).ravel() for a in args]
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 3 or z.shape[1] != spec.m:
+        raise fail("ARITY", f"{spec.id} takes (count, {spec.m}, d) blocks, got shape {z.shape}")
 
-    if spec.id == DCOV:
-        diff = vecs[0] - vecs[1]
-        return float(math.sqrt(float(diff @ diff)))
-    if spec.id == GHSIC:
+    if spec.is_pair_dependent:
+        diff = z[:, 0, :] - z[:, 1, :]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if spec.id == DCOV:
+            return dist
         sigma = spec.bandwidths[0] if which == F1 else spec.bandwidths[1]
-        diff = vecs[0] - vecs[1]
-        return float(math.exp(-math.sqrt(float(diff @ diff)) / (2.0 * sigma * sigma)))
+        return np.exp(-dist / (2.0 * sigma * sigma))
     # angle kernel: arccos of the normalized inner product of z1-z5 and z2-z5
-    u = vecs[0] - vecs[4]
-    v = vecs[1] - vecs[4]
-    nu = math.sqrt(float(u @ u))
-    nv = math.sqrt(float(v @ v))
-    if nu == 0.0 or nv == 0.0:
+    u = z[:, 0, :] - z[:, 4, :]
+    v = z[:, 1, :] - z[:, 4, :]
+    nu = np.sqrt(np.einsum("ij,ij->i", u, u))
+    nv = np.sqrt(np.einsum("ij,ij->i", v, v))
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
         raise fail("PCOV_SINGULAR", "zero-norm direction (z1=z5 or z2=z5)")
-    cosine = float(u @ v) / (nu * nv)
-    return float(math.acos(min(1.0, max(-1.0, cosine))))
+    cosine = np.clip(np.einsum("ij,ij->i", u, v) / (nu * nv), -1.0, 1.0)
+    return np.arccos(cosine)
 
 
 @dataclass(frozen=True)
@@ -208,42 +210,38 @@ def resolve_kernel_spec(kind: str, sample: Sample = None, sigmas=None) -> Kernel
 
 
 def pair_value_table(spec: KernelPairSpec, which: str, data: np.ndarray) -> np.ndarray:
-    """n x n table of kernel values built through the generic evaluator.
+    """n x n table of kernel values from one ``kernel_values`` call.
 
-    Used by the brute-force enumeration so its kernel values come from
-    ``eval_generic_kernel`` rather than from the vectorized matrix builders
-    it is meant to check. The two trailing arguments of a pair-dependent
-    kernel are ignored by definition, so the rows themselves serve as
-    padding.
+    Used by the brute-force enumeration so its kernel values come from the
+    tuple evaluator rather than from the tiled matrix builders it is meant
+    to check. Each unordered pair i <= j is evaluated once as the tuple
+    (i, j, i, j): a pair-dependent kernel ignores its two trailing
+    arguments, so the rows themselves serve as padding.
     """
     n = data.shape[0]
+    i, j = np.triu_indices(n)
+    vals = kernel_values(spec, which, data[np.stack((i, j, i, j), axis=1)])
     table = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            val = eval_generic_kernel(spec, which, [data[i], data[j], data[i], data[j]])
-            table[i, j] = val
-            table[j, i] = val
+    table[i, j] = vals
+    table[j, i] = vals
     return table
 
 
 def apex_value_table(spec: KernelPairSpec, which: str, data: np.ndarray) -> np.ndarray:
     """n x n x n table of angle-kernel values ang(z_i - z_k, z_j - z_k).
 
-    Entries with colliding indices are never read by the enumeration and are
-    left as NaN.
+    Every tuple (i, j, i, j, k) with i < j and k distinct from both is
+    evaluated in one ``kernel_values`` call. Entries with colliding indices
+    are never read by the enumeration and are left as NaN.
     """
     n = data.shape[0]
+    i, j = np.triu_indices(n, 1)
+    k = np.repeat(np.arange(n), i.size)
+    i, j = np.tile(i, n), np.tile(j, n)
+    keep = (i != k) & (j != k)
+    i, j, k = i[keep], j[keep], k[keep]
+    vals = kernel_values(spec, which, data[np.stack((i, j, i, j, k), axis=1)])
     table = np.full((n, n, n), np.nan, dtype=np.float64)
-    for k in range(n):
-        for i in range(n):
-            if i == k:
-                continue
-            for j in range(i, n):
-                if j == k or j == i:
-                    continue
-                val = eval_generic_kernel(
-                    spec, which, [data[i], data[j], data[i], data[j], data[k]]
-                )
-                table[i, j, k] = val
-                table[j, i, k] = val
+    table[i, j, k] = vals
+    table[j, i, k] = vals
     return table

@@ -30,7 +30,7 @@ import numpy as np
 from .data_model import GammaSet, KernelPairSpec, Sample, validate_sample
 from .errors import fail
 from .inference import COMBINERS, PermutationPlan, derive_seed, permutation_test
-from .kernels import resolve_kernel_spec
+from .kernels import F1, F2, kernel_values, resolve_kernel_spec
 
 # each null design draws x and y independently from one error family
 _NULL_ERROR = {"null-a": "normal", "null-b": "t3"}
@@ -190,27 +190,6 @@ class PopulationTriple:
         }
 
 
-def _kernel_pair_values(spec: KernelPairSpec, z: np.ndarray, i: int, j: int, which: int) -> np.ndarray:
-    """Batched pair-kernel values f(z[:, i], z[:, j]) for a (count, m, d) block."""
-    diff = z[:, i, :] - z[:, j, :]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if spec.id == "dcov":
-        return dist
-    sigma = spec.bandwidths[which]
-    return np.exp(-dist / (2.0 * sigma * sigma))
-
-
-def _angle_values(z: np.ndarray, i: int, j: int, apex: int) -> np.ndarray:
-    u = z[:, i, :] - z[:, apex, :]
-    v = z[:, j, :] - z[:, apex, :]
-    nu = np.sqrt(np.einsum("ij,ij->i", u, u))
-    nv = np.sqrt(np.einsum("ij,ij->i", v, v))
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise fail("PCOV_SINGULAR", "zero-norm direction in population draw")
-    cosine = np.clip(np.einsum("ij,ij->i", u, v) / (nu * nv), -1.0, 1.0)
-    return np.arccos(cosine)
-
-
 def mc_population_triple(
     cfg: SimConfig, spec: KernelPairSpec, n_mc: int, seed: int
 ) -> PopulationTriple:
@@ -224,6 +203,7 @@ def mc_population_triple(
         raise fail("BAD_MC", f"n_mc must be positive, got {n_mc}")
     rng = _rng(seed)
     m = spec.m
+    rest = tuple(range(4, m))
     done = 0
     batches_u, batches_v, batches_s = [], [], []
     sq_u, sq_v, sq_s = [], [], []
@@ -232,16 +212,11 @@ def mc_population_triple(
         x, y = _draw_xy(cfg, count * m, rng)
         x = x.reshape(count, m, cfg.d1)
         y = y.reshape(count, m, cfg.d2)
-        if spec.is_pair_dependent:
-            f1 = _kernel_pair_values(spec, x, 0, 1, 0)
-            t1 = f1 * _kernel_pair_values(spec, y, 0, 1, 1)
-            t2 = f1 * _kernel_pair_values(spec, y, 2, 3, 1)
-            t3 = f1 * _kernel_pair_values(spec, y, 0, 2, 1)
-        else:
-            f1 = _angle_values(x, 0, 1, 4)
-            t1 = f1 * _angle_values(y, 0, 1, 4)
-            t2 = f1 * _angle_values(y, 2, 3, 4)
-            t3 = f1 * _angle_values(y, 0, 2, 4)
+        # each stream reorders y so that its index pair sits at z1, z2
+        f1 = kernel_values(spec, F1, x)
+        t1 = f1 * kernel_values(spec, F2, y)
+        t2 = f1 * kernel_values(spec, F2, y[:, (2, 3, 0, 1) + rest])
+        t3 = f1 * kernel_values(spec, F2, y[:, (0, 2, 1, 3) + rest])
         us = t1 - t3
         vs = t2 - t3
         ss = t1 + t2 - 2.0 * t3

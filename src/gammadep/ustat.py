@@ -105,7 +105,7 @@ def brute_force_triple(
     """Exact averages of the three permuted-argument products over all
     ordered tuples of distinct indices.
 
-    Kernel values are obtained through the generic evaluator (tabulated per
+    Kernel values come from ``kernels.kernel_values`` (tabulated once per
     index pattern, then gathered over the enumeration), keeping this path
     independent of the vectorized matrix builders and closed forms it
     oracle-checks. The arity-5 kernel has no fast path to check, so its

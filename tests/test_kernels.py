@@ -1,4 +1,5 @@
-"""Kernel-matrix construction checked against naive double-loop recomputation."""
+"""Kernel-matrix construction and the batched tuple evaluator, checked
+against naive per-entry recomputation."""
 
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from gammadep import (
     GammadepError,
     KernelPairSpec,
-    eval_generic_kernel,
+    kernel_values,
     median_bandwidth,
     pairwise_dcov,
     pairwise_ghsic,
@@ -21,7 +22,9 @@ from gammadep.kernels import (
     F2,
     PairKernelMatrices,
     _pairwise_distances,
+    apex_value_table,
     build_pair_matrices,
+    pair_value_table,
 )
 
 
@@ -195,41 +198,137 @@ class TestMedianBandwidth:
         assert median_bandwidth(m) == float(np.median(upper))
 
 
+def one_row(spec, which, args):
+    """kernel_values on a one-row block built from a tuple of m vectors."""
+    block = np.asarray([args], dtype=np.float64)
+    assert block.shape[:2] == (1, spec.m)
+    return float(kernel_values(spec, which, block)[0])
+
+
 class TestEvalGenericKernel:
+    """The cases of the former scalar evaluator, each on a one-row
+    ``kernel_values`` block."""
+
     def test_dcov_ignores_trailing_args(self):
         spec = KernelPairSpec.dcov()
-        val = eval_generic_kernel(spec, F1, [[0.0, 0.0], [3.0, 4.0], [9.0, 9.0], [-1.0, 2.0]])
+        val = one_row(spec, F1, [[0.0, 0.0], [3.0, 4.0], [9.0, 9.0], [-1.0, 2.0]])
         assert val == 5.0
 
     def test_ghsic_uses_per_side_bandwidth(self):
         spec = KernelPairSpec.ghsic(1.0, 2.0)
         args = [[0.0], [1.0], [0.0], [0.0]]
-        assert eval_generic_kernel(spec, F1, args) == pytest.approx(math.exp(-1.0 / 2.0))
-        assert eval_generic_kernel(spec, F2, args) == pytest.approx(math.exp(-1.0 / 8.0))
+        assert one_row(spec, F1, args) == pytest.approx(math.exp(-1.0 / 2.0))
+        assert one_row(spec, F2, args) == pytest.approx(math.exp(-1.0 / 8.0))
 
     def test_pcov_orthogonal(self):
         spec = KernelPairSpec.pcov()
         args = [[1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [6.0, 6.0], [0.0, 0.0]]
-        assert eval_generic_kernel(spec, F1, args) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert one_row(spec, F1, args) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_pcov_parallel_is_zero_angle(self):
         spec = KernelPairSpec.pcov()
         args = [[2.0, 2.0], [2.0, 2.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         # sqrt rounding can push the cosine a hair below 1; the clamp keeps
         # the angle real and the value collapses to ~1e-8
-        assert eval_generic_kernel(spec, F1, args) == pytest.approx(0.0, abs=1e-7)
+        assert one_row(spec, F1, args) == pytest.approx(0.0, abs=1e-7)
 
     def test_arity(self):
         with pytest.raises(GammadepError) as exc:
-            eval_generic_kernel(KernelPairSpec.dcov(), F1, [[0.0], [1.0], [2.0]])
+            kernel_values(KernelPairSpec.dcov(), F1, np.zeros((1, 3, 1)))
         assert exc.value.code == "ARITY"
 
     def test_pcov_singular(self):
         spec = KernelPairSpec.pcov()
         args = [[1.0, 1.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         with pytest.raises(GammadepError) as exc:
-            eval_generic_kernel(spec, F1, args)
+            one_row(spec, F1, args)
         assert exc.value.code == "PCOV_SINGULAR"
+
+
+SPECS = {
+    "dcov": KernelPairSpec.dcov(),
+    "ghsic": KernelPairSpec.ghsic(0.7, 1.3),
+    "pcov": KernelPairSpec.pcov(),
+}
+
+
+class TestKernelValues:
+    @pytest.mark.parametrize("d", [1, 5, 64])
+    @pytest.mark.parametrize("kernel", sorted(SPECS))
+    def test_block_matches_its_one_row_calls(self, kernel, d):
+        # not bitwise: numpy's einsum may reduce a lone row by another route
+        spec = SPECS[kernel]
+        z = np.random.default_rng(d).standard_normal((40, spec.m, d))
+        for which in (F1, F2):
+            block = kernel_values(spec, which, z)
+            assert block.shape == (40,)
+            rows = [kernel_values(spec, which, z[r : r + 1])[0] for r in range(40)]
+            np.testing.assert_allclose(block, rows, rtol=1e-12, atol=0.0)
+
+    def test_cosine_above_one_is_clamped(self):
+        # (1, 1, 1) . (2, 2, 2) / (|(1, 1, 1)| |(2, 2, 2)|) rounds to 1 + 2^-52
+        args = [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [5.0, 0.0, 1.0], [0.0, 3.0, 1.0], [0.0, 0.0, 0.0]]
+        assert one_row(SPECS["pcov"], F1, args) == 0.0
+
+    def test_singular_last_row_of_a_block(self):
+        spec = SPECS["pcov"]
+        z = np.random.default_rng(3).standard_normal((6, 5, 2))
+        kernel_values(spec, F1, z)
+        z[-1, 1] = z[-1, 4]
+        with pytest.raises(GammadepError) as exc:
+            kernel_values(spec, F1, z)
+        assert exc.value.code == "PCOV_SINGULAR"
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2)])
+    def test_arity(self, shape):
+        with pytest.raises(GammadepError) as exc:
+            kernel_values(SPECS["dcov"], F1, np.zeros(shape))
+        assert exc.value.code == "ARITY"
+
+    def test_unknown_side(self):
+        with pytest.raises(GammadepError) as exc:
+            kernel_values(SPECS["dcov"], "f3", np.zeros((1, 4, 1)))
+        assert exc.value.code == "BAD_KERNEL"
+
+
+def literal_angle(a, b, apex):
+    u = [p - q for p, q in zip(a, apex)]
+    v = [p - q for p, q in zip(b, apex)]
+    cosine = math.fsum(p * q for p, q in zip(u, v)) / (math.dist(a, apex) * math.dist(b, apex))
+    return math.acos(min(1.0, max(-1.0, cosine)))
+
+
+class TestValueTables:
+    """The oracle's tables against literal per-entry formulas."""
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    @pytest.mark.parametrize("kernel", ["dcov", "ghsic"])
+    def test_pair_table(self, kernel, n, d):
+        spec = SPECS[kernel]
+        data = np.random.default_rng(10 * n + d).standard_normal((n, d))
+        for which, sigma in ((F1, 0.7), (F2, 1.3)):
+            table = pair_value_table(spec, which, data)
+            assert np.array_equal(table, table.T)
+            for i in range(n):
+                for j in range(n):
+                    dist = math.dist(data[i], data[j])
+                    want = dist if kernel == "dcov" else math.exp(-dist / (2.0 * sigma * sigma))
+                    assert table[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_apex_table(self, n, d):
+        spec = SPECS["pcov"]
+        data = np.random.default_rng(10 * n + d).standard_normal((n, d))
+        table = apex_value_table(spec, F1, data)
+        assert table.shape == (n, n, n)
+        assert np.array_equal(table, table.transpose(1, 0, 2), equal_nan=True)
+        i, j, k = np.indices((n, n, n))
+        assert np.array_equal(np.isnan(table), (i == k) | (j == k) | (i == j))
+        for i, j, k in zip(*np.nonzero(~np.isnan(table))):
+            want = literal_angle(data[i], data[j], data[k])
+            assert table[i, j, k] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestBuildPairMatrices:

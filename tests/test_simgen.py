@@ -152,6 +152,61 @@ class TestMcPopulationTriple:
         assert m3.u < -3 * m3.se_u and m3.v > 3 * m3.se_v
 
 
+# mc_population_triple(...).to_dict() recorded before its four kernel streams
+# moved onto kernels.kernel_values; the values must come back bit for bit
+PINNED_POPULATIONS = [
+    (
+        SimConfig(model="m1", n=50, d1=3, d2=3),
+        KernelPairSpec.dcov(),
+        11,
+        {
+            "u": 0.04412427818347318,
+            "v": -0.05120135220016873,
+            "sum": -0.00707707401669555,
+            "se_u": 0.0204830677719123,
+            "se_v": 0.02023599922445868,
+            "se_sum": 0.03350957815007059,
+            "n_mc": 20000,
+        },
+    ),
+    (
+        SimConfig(model="null-a", n=50, d1=1, d2=1),
+        KernelPairSpec.ghsic(0.7, 1.3),
+        12,
+        {
+            "u": -0.0005788662830636106,
+            "v": 0.00044980854187021526,
+            "sum": -0.0001290577411933953,
+            "se_u": 0.0007514377457807366,
+            "se_v": 0.0007450156852885526,
+            "se_sum": 0.0012552336063791209,
+            "n_mc": 20000,
+        },
+    ),
+    (
+        SimConfig(model="m3", n=50, d1=2, d2=2),
+        KernelPairSpec.pcov(),
+        13,
+        {
+            "u": -0.006205407071012476,
+            "v": -0.0022536324300116194,
+            "sum": -0.008459039501024095,
+            "se_u": 0.008667165378557634,
+            "se_v": 0.008725109833628413,
+            "se_sum": 0.014485717523533169,
+            "n_mc": 20000,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,spec,seed,want", PINNED_POPULATIONS, ids=["dcov-m1-d3", "ghsic-null-a-d1", "pcov-m3-d2"]
+)
+def test_population_values_are_pinned(cfg, spec, seed, want):
+    assert mc_population_triple(cfg, spec, 20_000, seed).to_dict() == want
+
+
 class TestSizePowerExperiment:
     def test_reps_floor(self):
         cfg = SimConfig(model="null-a", n=30, d1=2, d2=2, reps=50, b_count=20, seed=51)
