@@ -11,7 +11,13 @@ The distance matrix behind both builders is computed on the upper triangle
 only, in cache-sized tiles of row pairs that share one preallocated buffer,
 and each off-diagonal tile is mirrored into the lower triangle. A pass
 therefore holds its output plus one tile, and does about half the subtract
-and multiply-add work of a full n x n pass.
+and multiply-add work of a full n x n pass. ``median_bandwidth`` takes its
+median from that one matrix in place.
+
+``pair_peak_bytes`` models a pair test's peak: A~ and B~ plus the tile and
+the T1 gather blocks. ``build_pair_matrices`` and the ghsic median pass in
+``resolve_kernel_spec`` compare it with MemAvailable before their first
+n x n allocation and refuse a run that cannot fit with TOO_LARGE.
 
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
@@ -23,7 +29,9 @@ therefore zeroes both diagonals once and freezes the arrays: a
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +47,59 @@ F2 = "f2"
 # 2-core x86-64 host, 2^16 was fastest or within noise of 2^14..2^19; it
 # keeps n = 100, d = 5 in one tile.
 _TILE_ELEMS = 1 << 16
+
+# Elements in one row block of the T1 gather in ``ustat`` (256 KB of
+# float64): small enough for L2, and a single block for every n <= 181.
+_GATHER_ELEMS = 1 << 15
+
+# Read, never written, by the memory guard; absent outside Linux.
+_MEMINFO = "/proc/meminfo"
+
+
+def _tile_side(d: int) -> int:
+    """Rows (and columns) of a distance tile at d coordinates."""
+    return max(2, math.isqrt(_TILE_ELEMS // max(1, d)))
+
+
+def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
+    """Byte model of the peak a pair-kernel test allocates at n rows.
+
+    A~ and B~ (2 x 8 n^2 bytes), plus the distance tile of the wider side
+    (d columns; 512 KB for d <= 16384), plus two T1 gather blocks (256 KB
+    each, or one row of n) per permutation worker. ``workers`` defaults to,
+    and is bounded by, ``os.cpu_count()``. The tile and the gather blocks
+    are never live together, so the model is an upper bound, within a few
+    percent of the traced peak once the two matrices dominate.
+    """
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else min(workers, cpus)
+    tile = min(n, _tile_side(d)) ** 2 * d
+    return 8 * (2 * n * n + tile + 2 * workers * max(n, _GATHER_ELEMS))
+
+
+def _mem_available() -> Optional[int]:
+    """MemAvailable in bytes, or None where the file or the field is absent."""
+    try:
+        with open(_MEMINFO, "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_fits(sample: Sample) -> None:
+    """Refuse, with TOO_LARGE, a pair test whose byte model exceeds the
+    memory available now; called before its first n x n allocation."""
+    need = pair_peak_bytes(sample.n, max(sample.d1, sample.d2))
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise fail(
+            "TOO_LARGE",
+            f"n={sample.n} needs about {need / 2**20:.0f} MB for two n x n matrices, "
+            f"{avail / 2**20:.0f} MB available",
+        )
 
 
 def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
@@ -61,7 +122,7 @@ def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     n, d = m.shape
     out = np.empty((n, n), dtype=np.float64)
-    side = max(2, math.isqrt(_TILE_ELEMS // max(1, d)))
+    side = _tile_side(d)
     tile = min(n, side)
     buf = np.empty(tile * tile * d, dtype=np.float64)
     for i0 in range(0, n, side):
@@ -69,7 +130,8 @@ def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
         for j0 in range(i0, n, side):
             j1 = min(n, j0 + side)
             diff = buf[: (i1 - i0) * (j1 - j0) * d].reshape(i1 - i0, j1 - j0, d)
-            np.subtract(m[i0:i1, None, :], m[None, j0:j1, :], out=diff)
+            diff[...] = m[i0:i1, None, :]
+            np.subtract(diff, m[None, j0:j1, :], out=diff)
             blk = out[i0:i1, j0:j1]
             np.einsum("ijk,ijk->ij", diff, diff, out=blk)
             np.sqrt(blk, out=blk)
@@ -101,7 +163,14 @@ def pairwise_ghsic(matrix, sigma: float) -> np.ndarray:
 
 
 def median_bandwidth(matrix) -> float:
-    """Median of the strictly positive pairwise distances.
+    """Median of the strictly positive pairwise distances (i < j).
+
+    Taken in place from the full distance matrix, which holds every
+    positive distance twice: the median of that doubled multiset is the
+    mean of its two middle order statistics, which are the two middle
+    values of the upper triangle when that count is even and its middle
+    value twice when it is odd. So the result is the upper-triangle median
+    bit for bit, with no mask or copy of the matrix.
 
     Raises DEGENERATE when every pair of rows coincides (no positive
     distance exists to take a median of).
@@ -112,11 +181,14 @@ def median_bandwidth(matrix) -> float:
     n = m.shape[0]
     if n < 2:
         raise fail("DEGENERATE", "need at least two rows for a bandwidth")
-    positive = _pairwise_distances(m)[np.triu(np.ones((n, n), dtype=bool), 1)]
-    positive = positive[positive > 0.0]
-    if positive.size == 0:
+    flat = _pairwise_distances(m).reshape(-1)
+    positive = np.count_nonzero(flat)
+    if positive == 0:
         raise fail("DEGENERATE", "all rows identical; no positive distance")
-    return float(np.median(positive))
+    # ascending: flat.size - positive zeros, then each positive value twice
+    hi = flat.size - positive // 2
+    flat.partition((hi - 1, hi))
+    return float((flat[hi - 1] + flat[hi]) / 2.0)
 
 
 def kernel_values(spec: KernelPairSpec, which: str, z) -> np.ndarray:
@@ -176,6 +248,7 @@ def build_pair_matrices(sample: Sample, spec: KernelPairSpec) -> PairKernelMatri
     """
     if not spec.is_pair_dependent:
         raise fail("PAIR_KERNEL_REQUIRED", f"{spec.id} is not pair-dependent")
+    _check_fits(sample)
     if spec.id == DCOV:
         a = pairwise_dcov(sample.x)
         b = pairwise_dcov(sample.y)
@@ -205,6 +278,7 @@ def resolve_kernel_spec(kind: str, sample: Sample = None, sigmas=None) -> Kernel
             return KernelPairSpec.ghsic(*sigmas)
         if sample is None:
             raise fail("BAD_BANDWIDTH", "ghsic needs sigmas or a sample to medianize")
+        _check_fits(sample)
         return KernelPairSpec.ghsic(median_bandwidth(sample.x), median_bandwidth(sample.y))
     raise fail("BAD_KERNEL", f"unknown kernel {kind!r}")
 

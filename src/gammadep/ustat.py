@@ -46,6 +46,7 @@ import numpy as np
 from .data_model import KernelPairSpec, Sample, StatTriple
 from .errors import fail
 from .kernels import (
+    _GATHER_ELEMS,
     F1,
     F2,
     PairKernelMatrices,
@@ -56,10 +57,6 @@ from .kernels import (
 
 # Hard ceiling on enumerated tuples regardless of the configured budget.
 _MAX_TUPLES = 10_000_000
-
-# Elements in one row block of the T1 gather (256 KB of float64): small
-# enough for L2, and a single block for every n <= 181.
-_GATHER_ELEMS = 1 << 15
 
 # All 24 orderings (u, v, w) of three distinct positions out of four,
 # used by the symmetrized one-sided kernel.

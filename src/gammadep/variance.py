@@ -27,7 +27,8 @@ row-sum statistics of the kernel matrices; the reduction is gated on the
 brute oracle in CI because every term in it is easy to get subtly wrong.
 
 Reduction (N = n - 1; A~ and B~ are the zero-diagonal matrices of a
-``PairKernelMatrices``, read in place; u_i = sum_p a_ip b_ip,
+``PairKernelMatrices``, read in place; u_i = sum_p a_ip b_ip, an einsum
+row reduction that builds no n x n product,
 r/c the row sums of A~/B~, p_i = (A~ c)_i, q_i = (B~ r)_i,
 T1 = sum u_i, Sig3 = r.c - T1, and Sig3(-i) = Sig3 - r_i c_i - p_i - q_i + 3 u_i
 the triple sum avoiding index i):
@@ -135,7 +136,8 @@ def jackknife_brute(
 
 
 def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
-    """O(n^2) reduction of the jackknife display; equals the brute value to 1e-10."""
+    """O(n^2) reduction of the jackknife display; equals the brute value to
+    1e-10. Allocates only length-n vectors."""
     _require_pair(mats.spec)
     n = mats.n
     m = mats.spec.m
@@ -145,7 +147,7 @@ def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
     bt = mats.b
     r = at.sum(axis=1)
     c = bt.sum(axis=1)
-    u = (at * bt).sum(axis=1)
+    u = np.einsum("ij,ij->i", at, bt)
     t1 = float(u.sum())
     p = at @ c
     q = bt @ r

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gammadep import kernels
 from gammadep.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -212,6 +213,23 @@ class TestTestCommand:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "NONFINITE" in err and "u^10" in err
+
+    @pytest.mark.parametrize("kernel", ["dcov", "ghsic"])
+    def test_memory_guard_exit_code(self, csv_file, tmp_path, monkeypatch, capsys, kernel):
+        # 1 MB available is below two 100 x 100 matrices plus the fixed
+        # tile and gather blocks; a missing meminfo skips the check
+        args = ["test", "--input", csv_file, "--x-cols", "0..3", "--y-cols", "3..6",
+                "--B", "9", "--seed", "1", "--kernel", kernel, "--reproducible"]
+        assert main(args) == EXIT_OK
+        expected = capsys.readouterr().out
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal: 4096 kB\nMemAvailable: 1024 kB\n", encoding="ascii")
+        monkeypatch.setattr(kernels, "_MEMINFO", str(meminfo))
+        assert main(args) == EXIT_DATA
+        assert "TOO_LARGE" in capsys.readouterr().err
+        monkeypatch.setattr(kernels, "_MEMINFO", str(tmp_path / "absent"))
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
     def test_missing_file_is_data_error(self, capsys):
         code = main(

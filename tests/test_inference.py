@@ -21,6 +21,7 @@ from gammadep import (
     build_pair_matrices,
     fast_triple_pair,
     jackknife_fast,
+    median_bandwidth,
     permutation_sigma0_sq,
     permutation_test,
     rate_w,
@@ -28,6 +29,7 @@ from gammadep import (
 )
 from gammadep.errors import fail
 from gammadep.inference import _THREADED_MIN_N, _pool_pvalues, derive_seed
+from gammadep.kernels import pair_peak_bytes
 from gammadep.ustat import PairStatCore
 
 
@@ -500,25 +502,25 @@ def peak_nxn(fn, n):
 
 class TestMemory:
     # The shared zero-diagonal pair: a test holds A~ and B~, and on top of
-    # them one distance tile while B~ is built, two row blocks of the T1
-    # gather in a permuted triple, or the jackknife's one product. The tile
-    # (512 KB) and the two gather blocks (256 KB each) do not grow with n;
-    # at this n each is 0.18 n x n (at n = 200 the gather blocks alone are
-    # 1.6).
+    # them one distance tile while B~ is built or two row blocks of the T1
+    # gather in a permuted triple; the jackknife and the median bandwidth
+    # build no n x n temporary. The tile (512 KB) and the two gather blocks
+    # (256 KB each) do not grow with n; at this n each is 0.18 n x n (at
+    # n = 200 the gather blocks alone are 1.6).
     N = 600
 
     def sample(self, d=1, seed=31):
         rng = np.random.default_rng(seed)
         return validate_sample(rng.standard_normal((self.N, d)), rng.standard_normal((self.N, d)))
 
-    def test_permutation_test_holds_three_matrices(self):
+    def test_permutation_test_holds_two_matrices(self):
         s = self.sample()
 
         def run():
             plan = PermutationPlan(20, 3)
             permutation_test(s, KernelPairSpec.dcov(), GammaSet.default(), plan, threads=1)
 
-        assert peak_nxn(run, self.N) <= 3.5
+        assert peak_nxn(run, self.N) <= 2.5
 
     @pytest.mark.parametrize(
         "spec, d",
@@ -535,9 +537,25 @@ class TestMemory:
         perm = PermutationPlan(1, 3).permutation(1, self.N)
         assert peak_nxn(lambda: core.triple(perm), self.N) <= 0.25
 
-    def test_jackknife_fast_holds_one_matrix(self):
+    def test_jackknife_fast_holds_no_matrix(self):
         mats = build_pair_matrices(self.sample(), KernelPairSpec.dcov())
-        assert peak_nxn(lambda: jackknife_fast(mats), self.N) <= 1.5
+        assert peak_nxn(lambda: jackknife_fast(mats), self.N) <= 0.1
+
+    def test_median_bandwidth_holds_one_matrix_and_a_tile(self):
+        x = self.sample(seed=34).x
+        assert peak_nxn(lambda: median_bandwidth(x), self.N) <= 1.25
+
+    @pytest.mark.parametrize("n", [600, 1000, 1500])
+    def test_byte_model_matches_traced_peak(self, n):
+        # one worker, as threads=1 runs the permutations
+        rng = np.random.default_rng(35)
+        s = validate_sample(rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
+
+        def run():
+            permutation_test(s, KernelPairSpec.dcov(), GammaSet.default(), PermutationPlan(5, 3), threads=1)
+
+        traced = peak_nxn(run, n) * 8.0 * n * n
+        assert abs(pair_peak_bytes(n, 1, workers=1) / traced - 1.0) <= 0.1
 
 
 class TestDeriveSeed:

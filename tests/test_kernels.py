@@ -2,6 +2,7 @@
 against naive per-entry recomputation."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from gammadep import (
     pairwise_ghsic,
     validate_sample,
 )
+from gammadep import kernels
 from gammadep.kernels import (
+    _GATHER_ELEMS,
     _TILE_ELEMS,
     F1,
     F2,
@@ -24,7 +27,9 @@ from gammadep.kernels import (
     _pairwise_distances,
     apex_value_table,
     build_pair_matrices,
+    pair_peak_bytes,
     pair_value_table,
+    resolve_kernel_spec,
 )
 
 
@@ -183,9 +188,11 @@ class TestMedianBandwidth:
         assert median_bandwidth([[0.0], [1.0], [2.0]]) == 1.0
 
     def test_degenerate(self):
-        with pytest.raises(GammadepError) as exc:
-            median_bandwidth(np.ones((5, 2)))
-        assert exc.value.code == "DEGENERATE"
+        # all rows identical, and a single row
+        for m in (np.ones((5, 2)), np.ones((1, 3))):
+            with pytest.raises(GammadepError) as exc:
+                median_bandwidth(m)
+            assert exc.value.code == "DEGENERATE"
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(7)
@@ -196,6 +203,82 @@ class TestMedianBandwidth:
         assert median_bandwidth(m) == pytest.approx(float(np.median(dists)), rel=1e-12)
         upper = pairwise_dcov(m)[np.triu_indices(10, k=1)]
         assert median_bandwidth(m) == float(np.median(upper))
+
+        # zero distances, ties and both parities of the positive count, each
+        # against np.median of the upper triangle's positive entries
+        dup = rng.standard_normal((7, 2))
+        dup[[3, 5]] = dup[0]
+        cases = [
+            dup,
+            rng.integers(0, 3, (9, 1)).astype(float),
+            rng.integers(-2, 3, (12, 2)).astype(float),
+            np.array([[0.0], [3.0]]),
+            np.array([[0.0], [1.0], [3.0], [7.0]]),
+            np.array([[0.0], [1.0], [1.0], [3.0], [7.0]]),
+        ]
+        parities = set()
+        for m in cases:
+            upper = pairwise_dcov(m)[np.triu_indices(m.shape[0], k=1)]
+            positive = upper[upper > 0.0]
+            parities.add(positive.size % 2)
+            assert median_bandwidth(m) == float(np.median(positive))
+        assert parities == {0, 1}
+
+
+class TestMemoryGuard:
+    """The byte model against MemAvailable, with the meminfo file swapped."""
+
+    def sample(self):
+        rng = np.random.default_rng(8)
+        return validate_sample(rng.standard_normal((50, 3)), rng.standard_normal((50, 2)))
+
+    def meminfo(self, tmp_path, monkeypatch, available_kb):
+        path = tmp_path / "meminfo"
+        path.write_text(f"MemTotal: 9999999 kB\nMemAvailable: {available_kb} kB\n", encoding="ascii")
+        monkeypatch.setattr(kernels, "_MEMINFO", str(path))
+
+    def test_reader(self, tmp_path, monkeypatch):
+        self.meminfo(tmp_path, monkeypatch, 2048)
+        assert kernels._mem_available() == 2048 * 1024
+        monkeypatch.setattr(kernels, "_MEMINFO", str(tmp_path / "absent"))
+        assert kernels._mem_available() is None
+
+    def test_model(self):
+        # two n x n matrices, one tile, two gather blocks per worker
+        cpus = os.cpu_count() or 1
+        tile = 8 * min(1000, math.isqrt(_TILE_ELEMS // 5)) ** 2 * 5
+        assert pair_peak_bytes(1000, 5, workers=1) == 16 * 1000**2 + tile + 2 * 8 * _GATHER_ELEMS
+        assert pair_peak_bytes(1000, 5) == pair_peak_bytes(1000, 5, workers=cpus)
+        assert pair_peak_bytes(1000, 5, workers=cpus + 3) == pair_peak_bytes(1000, 5)
+        # for n > _GATHER_ELEMS a gather block is one row of n
+        assert pair_peak_bytes(40000, 1, workers=1) == 8 * (2 * 40000**2 + _TILE_ELEMS + 2 * 40000)
+
+    def test_too_small_refuses_before_allocating(self, tmp_path, monkeypatch):
+        s = self.sample()
+        self.meminfo(tmp_path, monkeypatch, 1)
+
+        def no_median(matrix):
+            raise AssertionError("the median pass ran before the guard")
+
+        monkeypatch.setattr(kernels, "median_bandwidth", no_median)
+        for call in (
+            lambda: build_pair_matrices(s, KernelPairSpec.dcov()),
+            lambda: build_pair_matrices(s, KernelPairSpec.ghsic(1.0, 1.0)),
+            lambda: resolve_kernel_spec("ghsic", s),
+        ):
+            with pytest.raises(GammadepError) as exc:
+                call()
+            assert exc.value.code == "TOO_LARGE"
+
+    def test_threshold_is_the_model(self, monkeypatch):
+        s = self.sample()
+        need = pair_peak_bytes(s.n, 3)
+        monkeypatch.setattr(kernels, "_mem_available", lambda: need)
+        build_pair_matrices(s, KernelPairSpec.dcov())
+        monkeypatch.setattr(kernels, "_mem_available", lambda: need - 1)
+        with pytest.raises(GammadepError) as exc:
+            build_pair_matrices(s, KernelPairSpec.dcov())
+        assert exc.value.code == "TOO_LARGE"
 
 
 def one_row(spec, which, args):
