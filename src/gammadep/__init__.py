@@ -44,7 +44,6 @@ from .simgen import (
     SimConfig,
     SizePowerResult,
     gen_model,
-    gen_null,
     mc_population_triple,
     size_power_experiment,
 )
@@ -52,7 +51,6 @@ from .ustat import (
     TupleBudget,
     brute_force_triple,
     fast_triple_pair,
-    symmetrized_psi_pair,
 )
 from .variance import (
     JackknifeEstimate,
@@ -97,7 +95,6 @@ __all__ = [
     "gamma_label",
     "gamma_stats",
     "gen_model",
-    "gen_null",
     "jackknife_brute",
     "jackknife_fast",
     "kernel_values",
@@ -111,6 +108,5 @@ __all__ = [
     "rate_w",
     "resolve_kernel_spec",
     "size_power_experiment",
-    "symmetrized_psi_pair",
     "validate_sample",
 ]

@@ -79,15 +79,6 @@ def _draw_error(rng: np.random.Generator, count: int, d: int, family: str) -> np
     raise fail("BAD_ERROR", f"unknown error family {family!r}")
 
 
-def gen_null(design: str, n: int, d: int, seed: int) -> np.ndarray:
-    """One matrix of null-design draws."""
-    if d < 1:
-        raise fail("BAD_DIM", f"d must be >= 1, got {d}")
-    if design not in _NULL_ERROR:
-        raise fail("BAD_MODEL", f"unknown null design {design!r}")
-    return _draw_error(_rng(seed), n, d, _NULL_ERROR[design])
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation scenario. ``kappa=None`` resolves to the per-model
@@ -109,6 +100,8 @@ class SimConfig:
             raise fail("BAD_MODEL", f"unknown model {self.model!r}")
         if self.error not in ERRORS:
             raise fail("BAD_ERROR", f"unknown error family {self.error!r}")
+        if min(self.d1, self.d2) < 1:
+            raise fail("BAD_DIM", f"d1 and d2 must be >= 1, got {self.d1} and {self.d2}")
         if self.model in MODELS and self.d2 != self.d1:
             raise fail("BAD_DIM", f"{self.model} needs d2 == d1, got {self.d1} vs {self.d2}")
         if not (0.0 < self.alpha < 1.0):
@@ -157,9 +150,8 @@ def _draw_xy(cfg: SimConfig, count: int, rng: np.random.Generator):
 
 
 def gen_model(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> Sample:
-    """One validated sample of cfg.n rows from the configured model."""
-    if cfg.model not in MODELS:
-        raise fail("BAD_MODEL", f"gen_model serves m1..m5, got {cfg.model!r}")
+    """One validated sample of cfg.n rows from the configured null design or
+    model, drawn from ``rng`` or else from a generator keyed by cfg.seed."""
     if rng is None:
         rng = _rng(cfg.seed)
     x, y = _draw_xy(cfg, cfg.n, rng)
@@ -324,8 +316,7 @@ def size_power_experiment(
 
     pvals = np.empty((cfg.reps, len(methods)), dtype=np.float64)
     for rep in range(cfg.reps):
-        data_rng = _rng(derive_seed(cfg.seed, 0, rep))
-        sample = validate_sample(*_draw_xy(cfg, cfg.n, data_rng))
+        sample = gen_model(cfg, _rng(derive_seed(cfg.seed, 0, rep)))
         spec = resolve_kernel_spec(kernel, sample)
         plan = PermutationPlan(cfg.b_count, derive_seed(cfg.seed, 1, rep))
         report = permutation_test(sample, spec, gammas, plan, combiners, tie_mode=tie_mode, threads=threads)

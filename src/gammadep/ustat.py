@@ -6,7 +6,8 @@ Two routes with very different cost profiles:
   and averages the three permuted-argument kernel products. It is the
   correctness oracle and is capped by a TupleBudget. For the arity-5 pcov
   kernel the oracle is ``PcovPermCore``, the same enumeration the
-  permutation test runs, which ``brute_force_triple`` calls.
+  permutation test runs, which ``brute_force_triple`` calls. The jackknife
+  oracle ``variance.jackknife_brute`` runs the same pair enumeration.
 * ``fast_triple_pair`` evaluates the same averages in O(n^2) for
   pair-dependent kernels via the closed forms below. The collision
   corrections (the 4 and 2 coefficients in the s2 numerator) are exactly the
@@ -57,11 +58,6 @@ from .kernels import (
 
 # Hard ceiling on enumerated tuples regardless of the configured budget.
 _MAX_TUPLES = 10_000_000
-
-# All 24 orderings (u, v, w) of three distinct positions out of four,
-# used by the symmetrized one-sided kernel.
-_ORDERED_TRIPLES_OF_4 = tuple(itertools.permutations(range(4), 3))
-
 
 @dataclass(frozen=True)
 class TupleBudget:
@@ -192,32 +188,6 @@ class PairStatCore:
 def fast_triple_pair(mats: PairKernelMatrices) -> StatTriple:
     """Closed-form triple in O(n^2); equals brute_force_triple to 1e-10."""
     return PairStatCore(mats).triple(None)
-
-
-def symmetrized_psi_pair(mats: PairKernelMatrices, l: int, indices) -> float:
-    """Fully symmetrized kernel value at four points, for l in {1, 3}.
-
-    Averaging the permuted-argument product over all 24 orderings of the
-    four points collapses, for a pair-dependent kernel, to
-
-        l=1: (1/6)  sum over the 6 unordered pairs  of a_pq b_pq
-        l=3: (1/24) sum over the 24 ordered triples of a_pq b_pr
-    """
-    if l not in (1, 3):
-        raise fail("BAD_KERNEL", f"symmetrized kernel defined for l in {{1, 3}}, got {l}")
-    idx = tuple(int(i) for i in indices)
-    if len(idx) != 4 or len(set(idx)) != 4:
-        raise fail("DUP_INDEX", f"need 4 distinct indices, got {indices}")
-    a, b = mats.a, mats.b
-    if l == 1:
-        total = 0.0
-        for p, q in itertools.combinations(idx, 2):
-            total += a[p, q] * b[p, q]
-        return total / 6.0
-    total = 0.0
-    for u, v, w in _ORDERED_TRIPLES_OF_4:
-        total += a[idx[u], idx[v]] * b[idx[u], idx[w]]
-    return total / 24.0
 
 
 class PcovPermCore:

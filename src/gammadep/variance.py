@@ -21,10 +21,16 @@ estimate is
 
     sigma0_sq = (n - 1) / (n - 4)^2 * sum_i g(i)^2
 
-``jackknife_brute`` evaluates g(i) by literal subset enumeration through
-``symmetrized_psi_pair``. ``jackknife_fast`` collapses the same average to
-row-sum statistics of the kernel matrices; the reduction is gated on the
-brute oracle in CI because every term in it is easy to get subtly wrong.
+The symmetrized kernel of a 4-point set is the average of its 24
+orderings, so g(i) is also the average of the unsymmetrized
+psi_1 - psi_3 = f1(t0, t1) (f2(t0, t1) - f2(t0, t2)) over the
+4 (n-1)(n-2)(n-3) ordered 4-tuples of distinct indices that hold i in any
+slot. ``jackknife_brute`` evaluates it that way, as the tuple gather of
+``ustat.brute_force_triple``: kernel values from ``kernels.kernel_values``
+tables, one product per tuple, and one ``np.bincount`` per slot.
+``jackknife_fast`` collapses the same average to row-sum statistics of the
+kernel matrices; the reduction is gated on the brute oracle in CI because
+every term in it is easy to get subtly wrong.
 
 Reduction (N = n - 1; A~ and B~ are the zero-diagonal matrices of a
 ``PairKernelMatrices``, read in place; u_i = sum_p a_ip b_ip, an einsum
@@ -75,7 +81,6 @@ vanish and keeps the sum from cancelling O(n^2)-sized terms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -84,23 +89,18 @@ import numpy as np
 
 from .data_model import KernelPairSpec, Sample
 from .errors import fail
-from .kernels import PairKernelMatrices, build_pair_matrices
-from .ustat import TupleBudget, symmetrized_psi_pair
+from .kernels import F1, F2, PairKernelMatrices, pair_value_table
+from .ustat import TupleBudget, _tuple_columns
 
 
 @dataclass(frozen=True)
 class JackknifeEstimate:
     sigma0_sq: float
     n: int
-    method: str  # "brute" | "fast"
 
     def __post_init__(self):
         if not (self.sigma0_sq >= 0.0) or not math.isfinite(self.sigma0_sq):
             raise fail("NONFINITE", f"sigma0_sq={self.sigma0_sq!r}")
-
-    @property
-    def sigma0(self) -> float:
-        return math.sqrt(self.sigma0_sq)
 
 
 def _require_pair(spec: KernelPairSpec):
@@ -111,7 +111,11 @@ def _require_pair(spec: KernelPairSpec):
 def jackknife_brute(
     sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None
 ) -> JackknifeEstimate:
-    """Literal enumeration of the jackknife display; O(n^4) and budget-capped."""
+    """Literal enumeration of the jackknife display; O(n^4) and budget-capped.
+
+    Runs ``brute_force_triple``'s tuple gather (see the module docstring),
+    so it reads no kernel matrix of the fast path it oracle-checks.
+    """
     _require_pair(spec)
     m = spec.m
     n = sample.n
@@ -120,19 +124,13 @@ def jackknife_brute(
     if n <= m:
         raise fail("TOO_SMALL", f"need n > {m}, got n={n}")
     budget.check(n, m)
-    mats = build_pair_matrices(sample, spec)
-    total = 0.0
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        vals = []
-        for subset in itertools.combinations(others, m - 1):
-            idx = (i,) + subset
-            vals.append(
-                symmetrized_psi_pair(mats, 1, idx) - symmetrized_psi_pair(mats, 3, idx)
-            )
-        g = math.fsum(vals) / len(vals)
-        total += g * g
-    return JackknifeEstimate((n - 1) / (n - m) ** 2 * total, n, "brute")
+    ax = pair_value_table(spec, F1, sample.x)
+    ay = pair_value_table(spec, F2, sample.y)
+    cols = _tuple_columns(n, 4)
+    t0, t1, t2, _ = cols
+    h = ax[t0, t1] * (ay[t0, t1] - ay[t0, t2])
+    g = sum(np.bincount(t, h, minlength=n) for t in cols) / (4 * math.perm(n - 1, 3))
+    return JackknifeEstimate((n - 1) / (n - m) ** 2 * float(g @ g), n)
 
 
 def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
@@ -161,7 +159,7 @@ def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
     )
     g = g1 - g3
     sigma0_sq = (n - 1) / (n - m) ** 2 * float(g @ g)
-    return JackknifeEstimate(sigma0_sq, n, "fast")
+    return JackknifeEstimate(sigma0_sq, n)
 
 
 def _centered_row_stats(mat: np.ndarray):

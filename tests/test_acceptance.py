@@ -20,7 +20,7 @@ from gammadep import (
     aggregate,
     build_pair_matrices,
     fast_triple_pair,
-    gen_null,
+    gen_model,
     mc_population_triple,
     permutation_sigma0_sq,
     size_power_experiment,
@@ -62,8 +62,7 @@ def studentized_null():
     master = 20240507
     tvals = np.empty(1000)
     for rep in range(1000):
-        x = gen_null("null-a", 200, 5, seed=derive_seed(master, 0, rep))
-        y = gen_null("null-a", 200, 5, seed=derive_seed(master, 1, rep))
+        x, y = (gen_model(SimConfig("null-a", 200, 5, 5, seed=derive_seed(master, k, rep))).x for k in (0, 1))
         mats = build_pair_matrices(validate_sample(x, y), spec)
         t = fast_triple_pair(mats)
         mu2 = aggregate(t.u, t.v, 2)

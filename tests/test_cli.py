@@ -355,10 +355,48 @@ class TestOracleCheckCommand:
     def test_broken_jackknife_detected(self):
         def broken_jack(mats):
             real = __import__("gammadep").jackknife_fast(mats)
-            return JackknifeEstimate(real.sigma0_sq * 1.001, real.n, "fast")
+            return JackknifeEstimate(real.sigma0_sq * 1.001, real.n)
 
         doc = run_oracle_suite(seeds=6, kernels=("ghsic",), jack_fn=broken_jack)
         assert doc["status"] == "FAIL"
+
+    def test_seed_is_used_and_echoed(self, tmp_path):
+        outs = []
+        for k, seed in enumerate(("5", "5", "6")):
+            out = tmp_path / f"oracle{k}.json"
+            argv = ["oracle-check", "--seeds", "4", "--seed", seed, "--n-max", "8", "--out", str(out), "--reproducible"]
+            assert main(argv) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        docs = [json.loads(b) for b in outs]
+        assert [d["seed"] for d in docs] == [5, 5, 6]
+        direct = run_oracle_suite(seeds=4, n_range=(6, 8), seed=5)
+        assert docs[0]["entries"] == direct["entries"]
+
+    def test_seed_selects_the_instances(self):
+        def drawn(seed):
+            sums = []
+
+            def spy(mats):
+                sums.append(float(mats.a.sum()))
+                return __import__("gammadep").fast_triple_pair(mats)
+
+            run_oracle_suite(seeds=4, kernels=("dcov",), triple_fn=spy, seed=seed)
+            return sums
+
+        assert drawn(7) == drawn(7)
+        assert drawn(7) != drawn(8)
+        # the default keeps the instances criterion 1 has always checked
+        assert run_oracle_suite(seeds=1, kernels=("dcov",))["seed"] == 424242
+
+
+class TestNonpositiveDimension:
+    @pytest.mark.parametrize("command", ["simulate", "population"])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_exits_with_bad_dim(self, command, d, capsys):
+        code = main([command, "--model", "null-a", "--d", d, "--seed", "1"])
+        assert code == EXIT_DATA
+        assert "BAD_DIM" in capsys.readouterr().err
 
 
 class TestPopulationCommand:

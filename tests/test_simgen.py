@@ -12,46 +12,52 @@ from gammadep import (
     KernelPairSpec,
     SimConfig,
     gen_model,
-    gen_null,
     mc_population_triple,
     size_power_experiment,
 )
-from gammadep.simgen import _draw_xy, _rng
+from gammadep.simgen import _draw_error, _rng
+
+
+def null_x(design, n, d, seed):
+    return gen_model(SimConfig(model=design, n=n, d1=d, d2=d, seed=seed)).x
 
 
 class TestGenNull:
     def test_identical_seeds_identical_matrices(self):
-        a = gen_null("null-a", 50, 4, seed=11)
-        b = gen_null("null-a", 50, 4, seed=11)
+        a = null_x("null-a", 50, 4, seed=11)
+        b = null_x("null-a", 50, 4, seed=11)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, gen_null("null-a", 50, 4, seed=12))
+        assert not np.array_equal(a, null_x("null-a", 50, 4, seed=12))
 
     def test_banded_covariance_recovered(self):
-        draws = gen_null("null-a", 100_000, 2, seed=21)
+        draws = null_x("null-a", 100_000, 2, seed=21)
         cov = np.cov(draws.T)
         assert np.allclose(cov, [[1.0, 0.5], [0.5, 1.0]], atol=0.02)
 
     def test_banded_covariance_d5_band_structure(self):
-        draws = gen_null("null-a", 200_000, 5, seed=22)
+        draws = null_x("null-a", 200_000, 5, seed=22)
         cov = np.cov(draws.T)
         assert np.allclose(np.diag(cov), 1.0, atol=0.02)
         assert cov[0, 1] == pytest.approx(0.5, abs=0.02)
         assert cov[0, 2] == pytest.approx(0.0, abs=0.02)
 
     def test_t3_heavy_tails(self):
-        draws = gen_null("null-b", 1_000_000, 1, seed=23).ravel()
+        draws = null_x("null-b", 1_000_000, 1, seed=23).ravel()
         rate = np.mean(np.abs(draws) > 3.0)
         assert rate >= 5 * 0.0027
 
     def test_unknown_design(self):
-        with pytest.raises(GammadepError):
-            gen_null("null-c", 10, 2, seed=0)
+        with pytest.raises(GammadepError) as exc:
+            null_x("null-c", 10, 2, seed=0)
+        assert exc.value.code == "BAD_MODEL"
 
     @pytest.mark.parametrize("design", ["null-a", "null-b"])
     def test_equals_the_x_block_of_the_simulation_draw(self, design):
-        cfg = SimConfig(model=design, n=40, d1=3, d2=2, seed=0)
-        x, _ = _draw_xy(cfg, 40, _rng(77))
-        assert gen_null(design, 40, 3, seed=77).tobytes() == x.tobytes()
+        # x is drawn first from the seed's Philox key, so the x block of a
+        # null sample is byte-for-byte one lone draw of its error family
+        cfg = SimConfig(model=design, n=40, d1=3, d2=2, seed=77)
+        lone = _draw_error(_rng(77), 40, 3, {"null-a": "normal", "null-b": "t3"}[design])
+        assert gen_model(cfg).x.tobytes() == lone.tobytes()
 
 
 class TestSimConfig:
@@ -72,6 +78,15 @@ class TestSimConfig:
     def test_unknown_model(self):
         with pytest.raises(GammadepError):
             SimConfig(model="m9", n=20, d1=3, d2=3)
+
+    @pytest.mark.parametrize(
+        "model, d1, d2",
+        [("null-a", 0, 0), ("null-a", 3, 0), ("null-b", 0, 3), ("null-b", -1, -1), ("m1", 0, 0), ("m1", -1, -1)],
+    )
+    def test_nonpositive_dimension(self, model, d1, d2):
+        with pytest.raises(GammadepError) as exc:
+            SimConfig(model=model, n=20, d1=d1, d2=d2)
+        assert exc.value.code == "BAD_DIM"
 
 
 class TestGenModel:
@@ -107,10 +122,11 @@ class TestGenModel:
         cfg = SimConfig(model="m2", n=50, d1=3, d2=3, seed=35)
         assert np.array_equal(gen_model(cfg).y, gen_model(cfg).y)
 
-    def test_null_designs_not_served_here(self):
-        cfg = SimConfig(model="null-a", n=20, d1=3, d2=3, seed=36)
-        with pytest.raises(GammadepError):
-            gen_model(cfg)
+    def test_null_designs_served(self):
+        for design in ("null-a", "null-b"):
+            cfg = SimConfig(model=design, n=20, d1=3, d2=2, seed=36)
+            s = gen_model(cfg)
+            assert (s.x.shape, s.y.shape) == ((20, 3), (20, 2))
 
 
 class TestMcPopulationTriple:

@@ -17,7 +17,6 @@ from gammadep import (
     build_pair_matrices,
     fast_triple_pair,
     median_bandwidth,
-    symmetrized_psi_pair,
     validate_sample,
 )
 from gammadep.ustat import PairStatCore, PcovPermCore
@@ -173,7 +172,8 @@ class TestExactRationalIdentity:
         assert [s1, s2, s3] == enum
 
     def test_jackknife_reduction_in_exact_arithmetic(self):
-        # same idea for the variance estimator: subset enumeration and the
+        # same idea for the variance estimator: subset enumeration, the
+        # slot sums over ordered tuples that jackknife_brute runs, and the
         # row-sum reduction agree as exact rationals
         from fractions import Fraction
 
@@ -201,12 +201,23 @@ class TestExactRationalIdentity:
             )
 
         brute = Fraction(0)
+        subset_g = []
         for i in range(n):
             others = [j for j in range(n) if j != i]
             vals = [psi1((i,) + s) - psi3((i,) + s) for s in itertools.combinations(others, 3)]
             g = sum(vals, Fraction(0)) / len(vals)
+            subset_g.append(g)
             brute += g * g
         brute *= Fraction(n - 1, (n - 4) ** 2)
+
+        # every ordered 4-tuple credits its unsymmetrized psi_1 - psi_3 to
+        # the row in each of its four slots
+        slot_sums = [0] * n
+        for t in itertools.permutations(range(n), 4):
+            h = int(a[t[0], t[1]]) * (int(b[t[0], t[1]]) - int(b[t[0], t[2]]))
+            for i in t:
+                slot_sums[i] += h
+        assert [Fraction(v, 4 * math.perm(n - 1, 3)) for v in slot_sums] == subset_g
 
         t1 = int((a * b).sum())
         r = [int(v) for v in a.sum(axis=1)]
@@ -373,43 +384,3 @@ class TestPcovEnumeration:
         assert ct.s1 == pytest.approx(bt.s1, abs=1e-12)
         assert ct.s2 == pytest.approx(bt.s2, abs=1e-12)
         assert ct.s3 == pytest.approx(bt.s3, abs=1e-12)
-
-
-class TestSymmetrizedPsiPair:
-    def test_constant_y_makes_both_kernels_equal(self):
-        rng = np.random.default_rng(20)
-        s = validate_sample(rng.standard_normal((6, 2)), np.full((6, 2), 3.0))
-        mats = build_pair_matrices(s, KernelPairSpec.ghsic(1.0, 1.0))
-        idx = (0, 2, 3, 5)
-        v1 = symmetrized_psi_pair(mats, 1, idx)
-        v3 = symmetrized_psi_pair(mats, 3, idx)
-        assert v1 == pytest.approx(v3, rel=1e-12)
-
-    def test_24_ordering_enumeration(self):
-        rng = np.random.default_rng(21)
-        s = dcov_sample(rng, 7, dependent=True)
-        mats = build_pair_matrices(s, KernelPairSpec.dcov())
-        idx = (1, 3, 4, 6)
-        a, b = mats.a, mats.b
-        total1 = 0.0
-        total3 = 0.0
-        for p in itertools.permutations(idx):
-            total1 += a[p[0], p[1]] * b[p[0], p[1]]
-            total3 += a[p[0], p[1]] * b[p[0], p[2]]
-        assert symmetrized_psi_pair(mats, 1, idx) == pytest.approx(total1 / 24.0, rel=1e-12)
-        assert symmetrized_psi_pair(mats, 3, idx) == pytest.approx(total3 / 24.0, rel=1e-12)
-
-    def test_exchangeable_in_its_indices(self):
-        rng = np.random.default_rng(22)
-        s = dcov_sample(rng, 6)
-        mats = build_pair_matrices(s, KernelPairSpec.dcov())
-        base = symmetrized_psi_pair(mats, 3, (0, 1, 2, 4))
-        for p in itertools.permutations((0, 1, 2, 4)):
-            assert symmetrized_psi_pair(mats, 3, p) == pytest.approx(base, rel=1e-12)
-
-    def test_duplicate_indices_rejected(self):
-        s = dcov_sample(np.random.default_rng(3), 5)
-        mats = build_pair_matrices(s, KernelPairSpec.dcov())
-        with pytest.raises(GammadepError) as exc:
-            symmetrized_psi_pair(mats, 1, (0, 1, 1, 2))
-        assert exc.value.code == "DUP_INDEX"

@@ -1,9 +1,10 @@
 """Variance estimator tests: the jackknife's O(n^2) reduction is gated on
-the subset-enumeration route here and again in the acceptance suite, and
+the tuple-enumeration route here and again in the acceptance suite, and
 the exact permutation variance on enumeration of all n! permutations."""
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ def make_sample(rng, n, dependent=False):
 class TestJackknifeBrute:
     def test_constant_y_is_exactly_zero(self):
         s = validate_sample(np.random.default_rng(0).standard_normal((8, 2)), np.zeros((8, 1)))
-        est = jackknife_brute(s, KernelPairSpec.dcov())
-        assert est.sigma0_sq == 0.0
+        for spec in (KernelPairSpec.dcov(), KernelPairSpec.ghsic(1.0, 1.0)):
+            assert jackknife_brute(s, spec).sigma0_sq == 0.0
 
     def test_positive_and_deterministic(self):
         rng = np.random.default_rng(1)
@@ -70,6 +71,21 @@ class TestJackknifeBrute:
         with pytest.raises(GammadepError) as exc:
             jackknife_brute(s, KernelPairSpec.pcov())
         assert exc.value.code == "PAIR_KERNEL_REQUIRED"
+
+    @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
+    def test_builds_no_kernel_matrix(self, kind, monkeypatch):
+        # the oracle must not share the matrix builder of the fast path it
+        # checks: every module that can see build_pair_matrices gets one
+        # that raises
+        def refuse(*args, **kwargs):
+            raise AssertionError("jackknife_brute built a kernel matrix")
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "gammadep" and hasattr(mod, "build_pair_matrices"):
+                monkeypatch.setattr(mod, "build_pair_matrices", refuse)
+        s = make_sample(np.random.default_rng(11), 9, dependent=True)
+        spec = KernelPairSpec.dcov() if kind == "dcov" else KernelPairSpec.ghsic(1.0, 1.5)
+        assert jackknife_brute(s, spec).sigma0_sq > 0.0
 
 
 class TestJackknifeFast:
