@@ -9,6 +9,7 @@ output file can be regenerated from the file alone.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import datetime
 import json
@@ -54,10 +55,12 @@ EXIT_ORACLE = 4
 def read_csv(path: str):
     """Headered CSV to (header, float matrix). Number parsing is float()
     without underscore digit grouping: decimal point only, surrounding
-    whitespace allowed, never locale-dependent. Parse failures report the
-    1-based file line."""
+    whitespace allowed, never locale-dependent. A leading UTF-8 BOM is
+    dropped. Parse failures report the 1-based file line. Each row's values
+    go straight into one float64 buffer, which the returned matrix views, so
+    the table is held once at 8 bytes per cell."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise fail("IO", f"cannot open {path}: {exc}") from exc
     with fh:
@@ -67,7 +70,7 @@ def read_csv(path: str):
         except StopIteration:
             raise fail("PARSE", f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = []
+        values = array.array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -78,12 +81,12 @@ def read_csv(path: str):
                 if "_" in "".join(row):
                     bad = next(v for v in row if "_" in v)
                     raise ValueError(f"underscore digit grouping is not accepted: {bad!r}")
-                rows.append([float(v) for v in row])
+                values.fromlist([float(v) for v in row])
             except ValueError as exc:
                 raise fail("PARSE", f"{path}:{lineno}: {exc}") from None
-    if not rows:
+    if not values:
         raise fail("EMPTY", f"{path}: no data rows")
-    return header, np.array(rows, dtype=np.float64)
+    return header, np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
 
 
 def parse_columns(selector: str, header) -> list:

@@ -7,6 +7,7 @@ same Sample twice yields arrays that are equal byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -219,10 +220,10 @@ class StatTriple:
 
     def __post_init__(self):
         for name in ("s1", "s2", "s3"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
                 raise fail("NONFINITE", f"{name}={v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
 
     @property
     def u(self) -> float:

@@ -111,8 +111,8 @@ class PermutationPlan:
         # The state of a fresh Philox(key=(k0, k1)): counter 0, empty buffer.
         rng.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([k0, k1], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": (0, 0, 0, 0), "key": (k0, k1)},
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -1,6 +1,11 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +91,89 @@ class TestCsvIngestion:
         p.write_text("a,b\n 1.5 ,2\n3,\t4e1\n", encoding="utf-8")
         _, data = read_csv(str(p))
         assert np.array_equal(data, [[1.5, 2.0], [3.0, 40.0]])
+
+    def test_equals_a_float_per_cell_reference(self, tmp_path):
+        text = (
+            "a, b ,c\r\n"
+            "-1.5,+2,3e-3\r\n"
+            "\r\n"
+            ".5,5.,-.25E+2\r\n"
+            '"7","-0.0", 1e308\r\n'
+            "\t4\t, 6 ,-9.999999999999999e-309\r\n"
+            "   \r\n"
+            "0.1,0.2,0.30000000000000004\r\n"
+        )
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode("utf-8"))
+        header, data = read_csv(str(p))
+        with open(p, encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if any(v.strip() for v in r)]
+        expected = np.array([[float(v) for v in r] for r in rows[1:]], dtype=np.float64)
+        assert header == ["a", "b", "c"]
+        assert data.dtype == np.float64 and data.shape == (5, 3)
+        assert data.tobytes() == expected.tobytes()
+
+    def test_nonfinite_values_parse_and_are_refused_by_the_sample(self, tmp_path, capsys):
+        p = tmp_path / "t.csv"
+        rows = [f"{i}.5,{(i * 7) % 11}.25" for i in range(12)]
+        rows[3] = "inf, nan"
+        p.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        _, data = read_csv(str(p))
+        assert data[3, 0] == np.inf and np.isnan(data[3, 1])
+        code = main(["test", "--input", str(p), "--x-cols", "a", "--y-cols", "b", "--B", "9", "--seed", "1"])
+        assert code == EXIT_DATA
+        assert "NONFINITE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("1,2\n\n3,x\n", 4, "could not convert"),
+            ("1,2\n\n\n3,4,5\n", 5, "expected 2 fields, got 3"),
+            ("1,2\n\n3,1_0\n", 4, "underscore"),
+        ],
+    )
+    def test_parse_errors_name_the_file_line(self, tmp_path, body, line, message):
+        # blank lines are skipped but still counted
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n" + body, encoding="utf-8")
+        with pytest.raises(GammadepError) as exc:
+            read_csv(str(p))
+        assert exc.value.code == "PARSE"
+        assert f"t.csv:{line}:" in str(exc.value) and message in str(exc.value)
+
+    def test_header_only_is_empty(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n\n \n", encoding="utf-8")
+        with pytest.raises(GammadepError) as exc:
+            read_csv(str(p))
+        assert exc.value.code == "EMPTY"
+
+    def test_holds_the_table_once(self, tmp_path):
+        # one float64 per cell plus buffer slack; a Python float per cell
+        # would peak at about 5x the table
+        rng = np.random.default_rng(7)
+        p = tmp_path / "wide.csv"
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"c{i}" for i in range(50)) + "\n")
+            np.savetxt(fh, rng.standard_normal((2000, 50)), delimiter=",", fmt="%.17g")
+        tracemalloc.start()
+        try:
+            _, data = read_csv(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (2000, 50)
+        assert peak <= 3 * data.nbytes
+
+    def test_utf8_bom_is_dropped(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" starts with a byte order mark
+        p = tmp_path / "bom.csv"
+        rows = [f"{i}.5,{(i * 7) % 11}.25" for i in range(12)]
+        p.write_bytes(("a,b\n" + "\n".join(rows) + "\n").encode("utf-8-sig"))
+        header, _ = read_csv(str(p))
+        assert header == ["a", "b"]
+        code = main(["test", "--input", str(p), "--x-cols", "a", "--y-cols", "b", "--B", "9", "--seed", "1"])
+        assert code == EXIT_OK, capsys.readouterr().err
 
     def test_column_range(self):
         assert parse_columns("0..3", ["a", "b", "c", "d"]) == [0, 1, 2]
@@ -423,3 +511,16 @@ class TestPopulationCommand:
         )
         assert code == EXIT_OK
         assert "sum" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_help(self):
+        import gammadep
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gammadep.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "gammadep", "--help"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("usage: gammadep")

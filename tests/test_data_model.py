@@ -1,5 +1,7 @@
 """Contract tests for the core value types."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,18 @@ class TestStatTriple:
     def test_nonfinite_rejected(self):
         with pytest.raises(GammadepError):
             StatTriple(np.nan, 0.0, 0.0, 5, KernelPairSpec.dcov())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_nonfinite_in_any_slot_is_coded(self, bad, slot):
+        values = [0.5, 0.25, 0.125]
+        values[slot] = bad
+        with pytest.raises(GammadepError) as exc:
+            StatTriple(*values, 5, KernelPairSpec.dcov())
+        assert exc.value.code == "NONFINITE"
+        assert f"s{slot + 1}=" in str(exc.value)
+
+    def test_numpy_scalars_become_python_floats(self):
+        t = StatTriple(np.float64(0.5), np.float32(0.25), np.float64(0.125), 5, KernelPairSpec.dcov())
+        assert [type(v) for v in (t.s1, t.s2, t.s3)] == [float, float, float]
+        assert (t.s1, t.s2, t.s3) == (0.5, 0.25, 0.125)

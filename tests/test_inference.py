@@ -217,6 +217,27 @@ class TestPermutationPlan:
             for (seed, b, n), perm in zip(block, perms):
                 assert np.array_equal(perm, fresh(seed, b, n))
 
+    def test_high_bit_keys_equal_a_fresh_philox(self):
+        # the state is set from plain Python ints; keys >= 2**63 must reach
+        # Philox unchanged. The reference key is a uint64 array: a list of
+        # Python ints that mixes in such a key is rounded through float64.
+        import random
+
+        from gammadep.inference import _mix64
+
+        draws = random.Random(20240611)
+        high = [0, 0]
+        for _ in range(300):
+            seed, b, n = draws.getrandbits(64), draws.randrange(10**6), draws.randrange(1, 300)
+            k0 = derive_seed(seed, b)
+            k1 = _mix64(k0 ^ 0xD6E8FEB86659FD93)
+            high[0] += k0 >> 63
+            high[1] += k1 >> 63
+            key = np.array([k0, k1], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).permutation(n)
+            assert np.array_equal(PermutationPlan(16, seed).permutation(b, n), expected)
+        assert min(high) > 50
+
 
 def record_pools(monkeypatch, cpu_count):
     """Patch the CPU count and record the max_workers of every thread pool
