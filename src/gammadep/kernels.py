@@ -15,9 +15,9 @@ and multiply-add work of a full n x n pass. ``median_bandwidth`` takes its
 median from that one matrix in place.
 
 ``pair_peak_bytes`` models a pair test's peak: A~ and B~ plus the tile and
-the T1 gather blocks. ``build_pair_matrices`` and the ghsic median pass in
-``resolve_kernel_spec`` compare it with MemAvailable before their first
-n x n allocation and refuse a run that cannot fit with TOO_LARGE.
+the two live T1 gather blocks. ``build_pair_matrices`` and the ghsic median
+pass in ``resolve_kernel_spec`` compare it with MemAvailable before their
+first n x n allocation and refuse a run that cannot fit with TOO_LARGE.
 
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
@@ -65,8 +65,10 @@ def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
     """Byte model of the peak a pair-kernel test allocates at n rows.
 
     A~ and B~ (2 x 8 n^2 bytes), plus the distance tile of the wider side
-    (d columns; 512 KB for d <= 16384), plus two T1 gather blocks (256 KB
-    each, or one row of n) per permutation worker. ``workers`` defaults to,
+    (d columns; 512 KB for d <= 16384), plus the two live T1 gather blocks
+    per permutation worker: the rows x n block of gathered rows and the
+    rows x (n - lo) block of its columns from lo on, each counted at its
+    largest, rows x n (256 KB, or one row of n). ``workers`` defaults to,
     and is bounded by, ``os.cpu_count()``. The tile and the gather blocks
     are never live together, so the model is an upper bound, within a few
     percent of the traced peak once the two matrices dominate.
@@ -108,13 +110,15 @@ def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
     Squared differences are accumulated in float64 before the square root
     (no Gram-matrix shortcut, which loses digits through cancellation when
     rows are close). Only the upper triangle is computed, in square tiles
-    of row pairs: each tile subtracts into one reused buffer, reduces over
-    the contiguous d axis straight into the output and takes the root in
-    place, and an off-diagonal tile is then mirrored into the lower
-    triangle. Every entry goes through the same einsum reduction whatever
-    the tiling, so the matrix does not depend on the tile size; it is
-    exactly symmetric by the mirror and has a zero diagonal because
-    row_i - row_i is 0.
+    of row pairs: each tile subtracts into one reused buffer and reduces
+    over the contiguous d axis straight into the output, and an off-diagonal
+    tile's squared sums are then mirrored into the lower triangle. The root
+    is taken once, in place, over the whole contiguous output, which needs
+    no ufunc buffer (a root on each strided tile would allocate one per
+    tile).
+    Every entry goes through the same einsum reduction whatever the tiling,
+    so the matrix does not depend on the tile size; it is exactly symmetric
+    by the mirror and has a zero diagonal because row_i - row_i is 0.
 
     Tiles are at least 2 x 2: numpy's einsum reduces a lone 1 x 1 x d
     operand by another route, which moved the last bit at d = 9000.
@@ -134,10 +138,9 @@ def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
             np.subtract(diff, m[None, j0:j1, :], out=diff)
             blk = out[i0:i1, j0:j1]
             np.einsum("ijk,ijk->ij", diff, diff, out=blk)
-            np.sqrt(blk, out=blk)
             if j0 != i0:
                 out[j0:j1, i0:i1] = blk.T
-    return out
+    return np.sqrt(out, out=out)
 
 
 def pairwise_dcov(matrix) -> np.ndarray:

@@ -28,10 +28,13 @@ sums, the tuples whose index pairs share one index (4 Sig3: four positions
 the shared index can occupy) or both (2 T1: the pair and its reversal).
 
 Permuting the y rows by pi changes only T1 and sum_i r_i c_pi(i). T1(pi) =
-<A~, B~[pi][:, pi]> is a row-blocked gather (``_t1``): blocks of about 256
-KB of B~ are gathered, multiplied by the matching rows of A~ and summed, so
-a permuted triple builds no n x n temporary. The unpermuted T1 sums the same
-blocks in the same order.
+<A~, B~[pi][:, pi]> is a row-blocked gather over the upper triangle
+(``_t1``): both matrices are symmetric, so each block of rows [lo, hi) of
+B~[pi] is gathered only in the columns from lo on (a rows x n block, then a
+rows x (n - lo) block, about 256 KB each) and reduced against the matching
+part of A~ by einsum, the off-diagonal part counted twice. A permuted triple
+builds no n x n temporary. The unpermuted T1 reduces the same blocks in the
+same order.
 """
 
 from __future__ import annotations
@@ -128,24 +131,35 @@ def brute_force_triple(
 def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
     """T1 = <A~, B~[perm][:, perm]>, or <A~, B~> when ``perm`` is None.
 
-    Walks blocks of ``_GATHER_ELEMS // n`` rows: each block of B~ is gathered
-    (rows, then columns), multiplied in place by the same rows of A~ and
-    summed, so at most two blocks are live and no n x n temporary is built.
-    The unpermuted T1 takes the same blocks and the same reduction order, so
-    a permutation that leaves B~ unchanged (swapping two identical y rows)
-    reproduces it bit for bit.
+    A~ and the permuted B~ are both symmetric, so only the upper triangle of
+    blocks is walked. For each block of rows [lo, hi) (h = hi - lo, at most
+    ``_GATHER_ELEMS // n`` rows) the columns from lo on are gathered (rows,
+    then columns: a rows x n block, then a rows x (n - lo) block, the only
+    two live at once), and
+
+        T1 = sum over blocks of 2 <blk[:, h:], A~[lo:hi, hi:]>
+                              + <blk[:, :h], A~[lo:hi, lo:hi]>.
+
+    Each term is one einsum reduction that builds no product block; einsum,
+    unlike a BLAS dot, sums in an order fixed by the operands' shapes alone.
+    The unpermuted T1 reduces B~[lo:hi, lo:], made contiguous, in the same
+    blocks with the same calls, so a permutation that leaves B~
+    unchanged (the identity, or swapping two identical y rows) reproduces it
+    bit for bit. For n <= 181 there is one block and one reduction.
     """
     n = a.shape[0]
     rows = max(1, _GATHER_ELEMS // n)
     total = 0.0
     for lo in range(0, n, rows):
-        hi = lo + rows
+        hi = min(n, lo + rows)
+        h = hi - lo
         if perm is None:
-            blk = b[lo:hi] * a[lo:hi]
+            blk = np.ascontiguousarray(b[lo:hi, lo:])
         else:
-            blk = b.take(perm[lo:hi], axis=0).take(perm, axis=1)
-            blk *= a[lo:hi]
-        total += float(blk.sum())
+            blk = b.take(perm[lo:hi], axis=0).take(perm[lo:], axis=1)
+        if hi < n:
+            total += 2.0 * float(np.einsum("ij,ij->", blk[:, h:], a[lo:hi, hi:]))
+        total += float(np.einsum("ij,ij->", blk[:, :h], a[lo:hi, lo:hi]))
         del blk  # free this block before the next one is gathered
     return total
 
@@ -155,8 +169,9 @@ class PairStatCore:
 
     Precomputes everything that survives a permutation of the y rows:
     permuting y by pi turns B~ into B~[pi][:, pi], whose row sums are just
-    c[pi], so a permuted triple is one row-blocked gather of B~ against A~
-    (``_t1``, two rows x n blocks live at a time) plus O(n) reductions.
+    c[pi], so a permuted triple is one row-blocked gather of the upper
+    triangle of B~[pi][:, pi] against A~ (``_t1``: a rows x n and a
+    rows x (n - lo) block live at a time) plus O(n) reductions.
     """
 
     def __init__(self, mats: PairKernelMatrices):

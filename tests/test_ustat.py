@@ -304,18 +304,37 @@ class TestFastTriplePair:
         assert exc.value.code == "TOO_SMALL"
 
 
+def pair_core(sample, kind):
+    if kind == "dcov":
+        spec = KernelPairSpec.dcov()
+    else:
+        spec = KernelPairSpec.ghsic(median_bandwidth(sample.x), median_bandwidth(sample.y))
+    return PairStatCore(build_pair_matrices(sample, spec))
+
+
 class TestRowBlockedT1:
-    # 181 is the largest n gathered as one block; 182 and 183 leave a short
-    # last block; 300 and 1000 walk many blocks.
-    @pytest.mark.parametrize("n", [4, 5, 181, 182, 183, 300, 1000])
+    # Blocks hold _GATHER_ELEMS // n = 32768 // n rows. 181 is the largest
+    # n gathered as one block; 182 and 183 leave a short last block; 313
+    # and 361 end in a one-row block; 256 and 476 are exact multiples of
+    # the block rows; 300 and 1000 walk many blocks.
+    @pytest.mark.parametrize("n", [4, 5, 181, 182, 183, 256, 300, 313, 361, 476, 1000])
     def test_matches_the_full_gather(self, n):
         rng = np.random.default_rng(n)
-        mats = build_pair_matrices(dcov_sample(rng, n, dependent=True), KernelPairSpec.dcov())
-        core = PairStatCore(mats)
-        for perm in (rng.permutation(n), None):
-            p = np.arange(n) if perm is None else perm
-            ref = np.sum(mats.a * mats.b[np.ix_(p, p)])
-            assert core.triple(perm).s1 * n * (n - 1) == pytest.approx(ref, rel=1e-13)
+        sample = dcov_sample(rng, n, dependent=True)
+        for kind in ("dcov", "ghsic"):
+            core = pair_core(sample, kind)
+            mats = core.mats
+            for perm in (rng.permutation(n), None):
+                p = np.arange(n) if perm is None else perm
+                ref = np.sum(mats.a * mats.b[np.ix_(p, p)])
+                assert core.triple(perm).s1 * n * (n - 1) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [120, 313, 1000])
+    def test_identity_permutation_is_bit_identical(self, n):
+        sample = dcov_sample(np.random.default_rng(n + 1), n, dependent=True)
+        for kind in ("dcov", "ghsic"):
+            core = pair_core(sample, kind)
+            assert core.triple(np.arange(n)) == core.triple(None)
 
     @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
     @pytest.mark.parametrize("n", [120, 300])
