@@ -48,8 +48,9 @@ F2 = "f2"
 # keeps n = 100, d = 5 in one tile.
 _TILE_ELEMS = 1 << 16
 
-# Elements in one row block of the T1 gather in ``ustat`` (256 KB of
-# float64): small enough for L2, and a single block for every n <= 181.
+# Elements in one T1 gather block in ``ustat`` (256 KB of float64); a
+# block's two gathers together hold at most twice this. Small enough for
+# L2, and a single block for every n <= 181.
 _GATHER_ELEMS = 1 << 15
 
 # Read, never written, by the memory guard; absent outside Linux.
@@ -67,8 +68,8 @@ def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
     A~ and B~ (2 x 8 n^2 bytes), plus the distance tile of the wider side
     (d columns; 512 KB for d <= 16384), plus the two live T1 gather blocks
     per permutation worker: the rows x n block of gathered rows and the
-    rows x (n - lo) block of its columns from lo on, each counted at its
-    largest, rows x n (256 KB, or one row of n). ``workers`` defaults to,
+    rows x (n - lo) block of its columns from lo on, which together hold at
+    most 2 x 256 KB (or two rows of n). ``workers`` defaults to,
     and is bounded by, ``os.cpu_count()``. The tile and the gather blocks
     are never live together, so the model is an upper bound, within a few
     percent of the traced peak once the two matrices dominate.

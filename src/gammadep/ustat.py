@@ -31,10 +31,10 @@ Permuting the y rows by pi changes only T1 and sum_i r_i c_pi(i). T1(pi) =
 <A~, B~[pi][:, pi]> is a row-blocked gather over the upper triangle
 (``_t1``): both matrices are symmetric, so each block of rows [lo, hi) of
 B~[pi] is gathered only in the columns from lo on (a rows x n block, then a
-rows x (n - lo) block, about 256 KB each) and reduced against the matching
-part of A~ by einsum, the off-diagonal part counted twice. A permuted triple
-builds no n x n temporary. The unpermuted T1 reduces the same blocks in the
-same order.
+rows x (n - lo) block, together at most 512 KB) and reduced against the
+matching part of A~ by einsum, the off-diagonal part counted twice. A
+permuted triple builds no n x n temporary. The unpermuted T1 reduces the
+same blocks in the same order.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
     """T1 = <A~, B~[perm][:, perm]>, or <A~, B~> when ``perm`` is None.
 
     A~ and the permuted B~ are both symmetric, so only the upper triangle of
-    blocks is walked. For each block of rows [lo, hi) (h = hi - lo, at most
-    ``_GATHER_ELEMS // n`` rows) the columns from lo on are gathered (rows,
-    then columns: a rows x n block, then a rows x (n - lo) block, the only
-    two live at once), and
+    blocks is walked. For each block of rows [lo, hi) (h = hi - lo) the
+    columns from lo on are gathered (rows, then columns: a rows x n block,
+    then a rows x (n - lo) block, the only two live at once), and
 
         T1 = sum over blocks of 2 <blk[:, h:], A~[lo:hi, hi:]>
                               + <blk[:, :h], A~[lo:hi, lo:hi]>.
@@ -145,13 +144,21 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
     The unpermuted T1 reduces B~[lo:hi, lo:], made contiguous, in the same
     blocks with the same calls, so a permutation that leaves B~
     unchanged (the identity, or swapping two identical y rows) reproduces it
-    bit for bit. For n <= 181 there is one block and one reduction.
+    bit for bit.
+
+    A block from row lo holds ``2 * _GATHER_ELEMS // (2n - lo)`` rows, so its
+    two gathered blocks together hold at most ``2 * _GATHER_ELEMS`` elements
+    (or a single row, once 2n - lo exceeds that) and the rows grow as the
+    walk narrows: 53 blocks at n = 1500 where ``_GATHER_ELEMS // n`` rows
+    give 72. Each block's numpy calls hold the GIL while they set up, so
+    with two ``--threads`` workers fewer blocks mean fewer waits for it.
+    For n <= 181 there is one block and one reduction.
     """
     n = a.shape[0]
-    rows = max(1, _GATHER_ELEMS // n)
     total = 0.0
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, 2 * _GATHER_ELEMS // (2 * n - lo)))
         h = hi - lo
         if perm is None:
             blk = np.ascontiguousarray(b[lo:hi, lo:])
@@ -161,6 +168,7 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
             total += 2.0 * float(np.einsum("ij,ij->", blk[:, h:], a[lo:hi, hi:]))
         total += float(np.einsum("ij,ij->", blk[:, :h], a[lo:hi, lo:hi]))
         del blk  # free this block before the next one is gathered
+        lo = hi
     return total
 
 
@@ -171,7 +179,8 @@ class PairStatCore:
     permuting y by pi turns B~ into B~[pi][:, pi], whose row sums are just
     c[pi], so a permuted triple is one row-blocked gather of the upper
     triangle of B~[pi][:, pi] against A~ (``_t1``: a rows x n and a
-    rows x (n - lo) block live at a time) plus O(n) reductions.
+    rows x (n - lo) block, together at most 512 KB, live at a time) plus
+    O(n) reductions.
     """
 
     def __init__(self, mats: PairKernelMatrices):

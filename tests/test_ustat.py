@@ -313,11 +313,14 @@ def pair_core(sample, kind):
 
 
 class TestRowBlockedT1:
-    # Blocks hold _GATHER_ELEMS // n = 32768 // n rows. 181 is the largest
-    # n gathered as one block; 182 and 183 leave a short last block; 313
-    # and 361 end in a one-row block; 256 and 476 are exact multiples of
-    # the block rows; 300 and 1000 walk many blocks.
-    @pytest.mark.parametrize("n", [4, 5, 181, 182, 183, 256, 300, 313, 361, 476, 1000])
+    # A block from row lo holds 2 * _GATHER_ELEMS // (2n - lo) rows, so the
+    # rows grow along the walk. 181 is the largest n gathered as one block;
+    # 182 and 183 leave a short last block; 256 walks two equal blocks; 451
+    # and 538 end in a one-row block; 273 and 647 end in a block of exactly
+    # its full rows; 300, 313, 361, 476 and 1000 walk 3 to 24 blocks.
+    @pytest.mark.parametrize(
+        "n", [4, 5, 181, 182, 183, 256, 273, 300, 313, 361, 451, 476, 538, 647, 1000]
+    )
     def test_matches_the_full_gather(self, n):
         rng = np.random.default_rng(n)
         sample = dcov_sample(rng, n, dependent=True)
@@ -329,7 +332,7 @@ class TestRowBlockedT1:
                 ref = np.sum(mats.a * mats.b[np.ix_(p, p)])
                 assert core.triple(perm).s1 * n * (n - 1) == pytest.approx(ref, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [120, 313, 1000])
+    @pytest.mark.parametrize("n", [120, 313, 451, 1000])
     def test_identity_permutation_is_bit_identical(self, n):
         sample = dcov_sample(np.random.default_rng(n + 1), n, dependent=True)
         for kind in ("dcov", "ghsic"):
