@@ -13,6 +13,7 @@ import array
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -212,9 +213,17 @@ def run_oracle_suite(
     drawn from ``derive_seed(seed, s)``.
 
     ``triple_fn``/``jack_fn`` are injectable so a deliberately broken fast
-    path can be shown to FAIL (negative control).
+    path can be shown to FAIL (negative control). An empty suite would pass
+    vacuously, so ``seeds`` < 1 and an empty ``n_range`` are refused, and so
+    is a ``tol`` that is negative or not finite.
     """
     lo, hi = n_range
+    if seeds < 1:
+        raise fail("BAD_SEEDS", f"need at least one seed, got {seeds}")
+    if lo > hi:
+        raise fail("BAD_N_RANGE", f"n_min {lo} exceeds n_max {hi}")
+    if not (0.0 <= tol < math.inf):
+        raise fail("BAD_TOL", f"tol must be finite and nonnegative, got {tol}")
     entries = []
     worst = 0.0
     budget = TupleBudget(max(14, hi))
@@ -274,6 +283,8 @@ def _threads(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    if not (0.0 < args.alpha < 1.0):
+        raise fail("BAD_ALPHA", f"alpha must be in (0, 1), got {args.alpha}")
     header, data = read_csv(args.input)
     x_idx = parse_columns(args.x_cols, header)
     y_idx = parse_columns(args.y_cols, header)

@@ -23,14 +23,19 @@ Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
 therefore zeroes both diagonals once and freezes the arrays: a
 ``PairKernelMatrices`` holds A~ and B~, the zero-diagonal matrices that
-``ustat`` and ``variance`` share without copying.
+``ustat`` and ``variance`` share without copying. It also takes their
+off-diagonal row sums r and c once, on construction, and every closed form
+downstream (the triple, the jackknife display and the permutation variance)
+reads them from there. Constructing one for a kernel that is not
+pair-dependent raises PAIR_KERNEL_REQUIRED, so the fast paths that take a
+``PairKernelMatrices`` need no check of their own.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -229,16 +234,23 @@ def kernel_values(spec: KernelPairSpec, which: str, z) -> np.ndarray:
 @dataclass(frozen=True)
 class PairKernelMatrices:
     """A~ and B~: the n x n matrices of f1 on X pairs and f2 on Y pairs,
-    with zero diagonals."""
+    with zero diagonals, and their read-only off-diagonal row sums r and c."""
 
     a: np.ndarray
     b: np.ndarray
     spec: KernelPairSpec
+    r: np.ndarray = field(init=False, compare=False, repr=False)
+    c: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name, mat in (("a", self.a), ("b", self.b)):
+        if not self.spec.is_pair_dependent:
+            raise fail("PAIR_KERNEL_REQUIRED", f"{self.spec.id} has no pair fast path")
+        for name, mat, sums in (("a", self.a, "r"), ("b", self.b, "c")):
             if np.any(np.diagonal(mat) != 0.0):
                 raise fail("BAD_KERNEL", f"{name} must have a zero diagonal")
+            rows = mat.sum(axis=1)
+            rows.setflags(write=False)
+            object.__setattr__(self, sums, rows)
 
     @property
     def n(self) -> int:

@@ -41,7 +41,7 @@ def aggregate(u: float, v: float, gamma: Gamma) -> float:
 def rate_w(n: int, gamma: Gamma) -> float:
     """Convergence-rate factor: n^((g+1)/(2g)) for odd g, sqrt(n) otherwise."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise fail("TOO_SMALL", f"n must be >= 1, got {n}")
     if has_half_normal_limit(gamma):
         return float(n**0.5)
     return float(n ** ((gamma + 1.0) / (2.0 * gamma)))

@@ -108,8 +108,8 @@ class SimConfig:
             raise fail("BAD_ALPHA", f"alpha must be in (0, 1), got {self.alpha}")
         if self.kappa is None and self.model in MODELS:
             object.__setattr__(self, "kappa", KAPPA_DEFAULTS[(self.model, self.error)])
-        if self.kappa is not None and self.kappa < 0:
-            raise fail("BAD_KAPPA", f"kappa must be nonnegative, got {self.kappa}")
+        if self.kappa is not None and not (0.0 <= self.kappa < math.inf):
+            raise fail("BAD_KAPPA", f"kappa must be finite and nonnegative, got {self.kappa}")
 
 
 def _draw_xy(cfg: SimConfig, count: int, rng: np.random.Generator):

@@ -16,8 +16,9 @@ Two routes with very different cost profiles:
 
 Closed forms, with A~ and B~ the zero-diagonal kernel matrices of a
 ``PairKernelMatrices`` (read in place, not copied), T1 = sum_{i!=j} a_ij b_ij,
-r_i / c_i the off-diagonal row sums, and Sig3 = sum_i r_i c_i - T1 (= the
-sum over ordered distinct triples (i,j,k) of a_ij b_ik):
+r_i / c_i the off-diagonal row sums (the ``PairKernelMatrices`` fields r and
+c, taken once when it is built), and Sig3 = sum_i r_i c_i - T1 (= the sum
+over ordered distinct triples (i,j,k) of a_ij b_ik):
 
     s1 = T1 / (n (n-1))
     s3 = Sig3 / (n (n-1) (n-2))
@@ -175,34 +176,30 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
 class PairStatCore:
     """Reusable O(n^2) engine for one pair of kernel matrices.
 
-    Precomputes everything that survives a permutation of the y rows:
-    permuting y by pi turns B~ into B~[pi][:, pi], whose row sums are just
-    c[pi], so a permuted triple is one row-blocked gather of the upper
-    triangle of B~[pi][:, pi] against A~ (``_t1``: a rows x n and a
-    rows x (n - lo) block, together at most 512 KB, live at a time) plus
-    O(n) reductions.
+    Reads r and c from the ``PairKernelMatrices`` and precomputes the two
+    totals, which survive a permutation of the y rows: permuting y by pi
+    turns B~ into B~[pi][:, pi], whose row sums are just c[pi], so a
+    permuted triple is one row-blocked gather of the upper triangle of
+    B~[pi][:, pi] against A~ (``_t1``: a rows x n and a rows x (n - lo)
+    block, together at most 512 KB, live at a time) plus O(n) reductions.
     """
 
     def __init__(self, mats: PairKernelMatrices):
         n = mats.n
         if n < 4:
             raise fail("TOO_SMALL", f"need n >= 4, got n={n}")
-        if not mats.spec.is_pair_dependent:
-            raise fail("PAIR_KERNEL_REQUIRED", f"{mats.spec.id} has no pair fast path")
         self.mats = mats
         self.spec = mats.spec
         self.n = n
-        self.r = mats.a.sum(axis=1)
-        self.c = mats.b.sum(axis=1)
-        self.a_total = float(self.r.sum())
-        self.b_total = float(self.c.sum())
+        self.a_total = float(mats.r.sum())
+        self.b_total = float(mats.c.sum())
 
     def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
         """Triple for the sample with y rows permuted by ``perm`` (or not)."""
         n = self.n
-        cperm = self.c if perm is None else self.c[perm]
+        cperm = self.mats.c if perm is None else self.mats.c[perm]
         t1 = _t1(self.mats.a, self.mats.b, perm)
-        sig3 = float(self.r @ cperm) - t1
+        sig3 = float(self.mats.r @ cperm) - t1
         s1 = t1 / (n * (n - 1))
         s3 = sig3 / (n * (n - 1) * (n - 2))
         s2 = (self.a_total * self.b_total - 4.0 * sig3 - 2.0 * t1) / math.perm(n, 4)

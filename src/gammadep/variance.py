@@ -35,7 +35,9 @@ every term in it is easy to get subtly wrong.
 Reduction (N = n - 1; A~ and B~ are the zero-diagonal matrices of a
 ``PairKernelMatrices``, read in place; u_i = sum_p a_ip b_ip, an einsum
 row reduction that builds no n x n product,
-r/c the row sums of A~/B~, p_i = (A~ c)_i, q_i = (B~ r)_i,
+r/c the row sums of A~/B~ (the ``PairKernelMatrices`` fields r and c, taken
+once when it is built and shared with ``ustat`` and the permutation
+variance), p_i = (A~ c)_i, q_i = (B~ r)_i,
 T1 = sum u_i, Sig3 = r.c - T1, and Sig3(-i) = Sig3 - r_i c_i - p_i - q_i + 3 u_i
 the triple sum avoiding index i):
 
@@ -76,7 +78,8 @@ exactly a pattern follow from these by Moebius inversion over the coarser
 patterns, so E_pi[u^2] costs O(n^2) in total. u is unchanged when a
 constant is added to the off-diagonal entries of A~ or B~, so both are
 first centered by their off-diagonal means; this makes M.. and tr(M)
-vanish and keeps the sum from cancelling O(n^2)-sized terms.
+vanish and keeps the sum from cancelling O(n^2)-sized terms. The centered
+row sums are shifted from r and c, so no row sum is taken here.
 """
 
 from __future__ import annotations
@@ -103,11 +106,6 @@ class JackknifeEstimate:
             raise fail("NONFINITE", f"sigma0_sq={self.sigma0_sq!r}")
 
 
-def _require_pair(spec: KernelPairSpec):
-    if not spec.is_pair_dependent:
-        raise fail("PAIR_KERNEL_REQUIRED", f"no jackknife for {spec.id} (arity {spec.m})")
-
-
 def jackknife_brute(
     sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None
 ) -> JackknifeEstimate:
@@ -116,7 +114,8 @@ def jackknife_brute(
     Runs ``brute_force_triple``'s tuple gather (see the module docstring),
     so it reads no kernel matrix of the fast path it oracle-checks.
     """
-    _require_pair(spec)
+    if not spec.is_pair_dependent:
+        raise fail("PAIR_KERNEL_REQUIRED", f"no jackknife for {spec.id} (arity {spec.m})")
     m = spec.m
     n = sample.n
     if budget is None:
@@ -136,15 +135,14 @@ def jackknife_brute(
 def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
     """O(n^2) reduction of the jackknife display; equals the brute value to
     1e-10. Allocates only length-n vectors."""
-    _require_pair(mats.spec)
     n = mats.n
     m = mats.spec.m
     if n <= m:
         raise fail("TOO_SMALL", f"need n > {m}, got n={n}")
     at = mats.a
     bt = mats.b
-    r = at.sum(axis=1)
-    c = bt.sum(axis=1)
+    r = mats.r
+    c = mats.c
     u = np.einsum("ij,ij->i", at, bt)
     t1 = float(u.sum())
     p = at @ c
@@ -162,12 +160,11 @@ def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
     return JackknifeEstimate(sigma0_sq, n)
 
 
-def _centered_row_stats(mat: np.ndarray):
+def _centered_row_stats(mat: np.ndarray, rows: np.ndarray):
     """Row sums and sum of squares of a symmetric zero-diagonal kernel
-    matrix after subtracting its off-diagonal mean; allocates no n x n
-    temporary."""
+    matrix with row sums ``rows`` after subtracting its off-diagonal mean;
+    allocates no n x n temporary."""
     n = mat.shape[0]
-    rows = mat.sum(axis=1)
     kappa = float(rows.sum()) / (n * (n - 1))
     sq = float(np.einsum("ij,ij->", mat, mat))
     return rows - kappa * (n - 1), sq - kappa * kappa * n * (n - 1)
@@ -195,13 +192,12 @@ def permutation_sigma0_sq(mats: PairKernelMatrices) -> float:
     may round to a tiny negative value there; callers treat any value that
     is not positive as "no asymptotic p-value".
     """
-    _require_pair(mats.spec)
     n = mats.n
     m = mats.spec.m
     if n < m:
         raise fail("TOO_SMALL", f"need n >= {m}, got n={n}")
-    ra, qa = _centered_row_stats(mats.a)
-    rb, qb = _centered_row_stats(mats.b)
+    ra, qa = _centered_row_stats(mats.a, mats.r)
+    rb, qb = _centered_row_stats(mats.b, mats.c)
 
     scale = 1.0 / (n * (n - 2))
     xd = -ra * scale / (n - 1)

@@ -477,6 +477,45 @@ class TestOracleCheckCommand:
         # the default keeps the instances criterion 1 has always checked
         assert run_oracle_suite(seeds=1, kernels=("dcov",))["seed"] == 424242
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--seeds", "0"], "BAD_SEEDS"),
+            (["--seeds", "-2"], "BAD_SEEDS"),
+            (["--n-min", "7", "--n-max", "6"], "BAD_N_RANGE"),
+            (["--tol", "nan"], "BAD_TOL"),
+            (["--tol", "inf"], "BAD_TOL"),
+            (["--tol=-1e-10"], "BAD_TOL"),
+        ],
+    )
+    def test_bad_suite_options_are_refused(self, args, code, capsys):
+        # an empty suite would print PASS with no instance checked, and a
+        # nan tolerance FAIL (or a JSON ValueError) whatever the errors
+        assert main(["oracle-check", "--seed", "1", *args]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert code in captured.err and "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+
+
+class TestOutOfRangeFloats:
+    @pytest.mark.parametrize("alpha", ["nan", "7", "0", "1", "-0.5", "inf"])
+    def test_test_alpha(self, alpha, csv_file, capsys):
+        argv = ["test", "--input", csv_file, "--x-cols", "0..2", "--y-cols", "2..4",
+                "--B", "9", "--seed", "1", "--alpha", alpha]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "BAD_ALPHA" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "population"])
+    def test_kappa(self, command, kappa, capsys):
+        argv = [command, "--model", "m1", "--d", "2", "--kappa", kappa, "--seed", "1"]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "BAD_KAPPA" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestNonpositiveDimension:
     @pytest.mark.parametrize("command", ["simulate", "population"])

@@ -446,3 +446,27 @@ class TestBuildPairMatrices:
         with pytest.raises(GammadepError) as exc:
             build_pair_matrices(s, KernelPairSpec.pcov())
         assert exc.value.code == "PAIR_KERNEL_REQUIRED"
+
+    def test_pcov_spec_is_refused_by_the_constructor(self):
+        s = validate_sample(np.random.default_rng(10).standard_normal((6, 2)), np.eye(6))
+        mats = build_pair_matrices(s, KernelPairSpec.dcov())
+        with pytest.raises(GammadepError) as exc:
+            PairKernelMatrices(mats.a, mats.b, KernelPairSpec.pcov())
+        assert exc.value.code == "PAIR_KERNEL_REQUIRED"
+
+    @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
+    def test_row_sums_are_the_matrices_row_sums(self, kind):
+        rng = np.random.default_rng(11)
+        s = validate_sample(rng.standard_normal((40, 3)), rng.standard_normal((40, 2)))
+        mats = build_pair_matrices(s, resolve_kernel_spec(kind, s))
+        for mat, rows in ((mats.a, mats.r), (mats.b, mats.c)):
+            assert rows.tobytes() == mat.sum(axis=1).tobytes()
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+        with pytest.raises(AttributeError):
+            mats.r = mats.c
+        # a matrix pair built directly, not through build_pair_matrices, gets its own
+        shifted = PairKernelMatrices(mats.a + (1.0 - np.eye(40)), mats.b, mats.spec)
+        assert shifted.r.tobytes() == (mats.a + (1.0 - np.eye(40))).sum(axis=1).tobytes()
+        assert shifted.c is not mats.c and np.array_equal(shifted.c, mats.c)

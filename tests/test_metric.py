@@ -142,6 +142,12 @@ class TestRateW:
         assert rate_w(100, 3) == pytest.approx(100.0 ** (2.0 / 3.0), rel=1e-12)
         assert rate_w(100, 3) == pytest.approx(21.5443469, abs=1e-7)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_is_a_coded_error(self, n):
+        with pytest.raises(GammadepError) as exc:
+            rate_w(n, 2)
+        assert exc.value.code == "TOO_SMALL"
+
 
 def ordering_violations(u, v):
     """Check the four ordering clauses for one pair; returns messages."""
