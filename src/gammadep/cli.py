@@ -282,6 +282,15 @@ def _threads(args) -> int:
     return 1
 
 
+def _sigmas(args):
+    """The (--sigma-x, --sigma-y) bandwidth pair, or None when neither is given."""
+    if args.sigma_x is None and args.sigma_y is None:
+        return None
+    if args.sigma_x is None or args.sigma_y is None:
+        raise fail("BAD_BANDWIDTH", "pass both --sigma-x and --sigma-y or neither")
+    return (args.sigma_x, args.sigma_y)
+
+
 def _cmd_test(args) -> int:
     if not (0.0 < args.alpha < 1.0):
         raise fail("BAD_ALPHA", f"alpha must be in (0, 1), got {args.alpha}")
@@ -289,12 +298,7 @@ def _cmd_test(args) -> int:
     x_idx = parse_columns(args.x_cols, header)
     y_idx = parse_columns(args.y_cols, header)
     sample = validate_sample(data[:, x_idx], data[:, y_idx])
-    sigmas = None
-    if args.sigma_x is not None or args.sigma_y is not None:
-        if args.sigma_x is None or args.sigma_y is None:
-            raise fail("BAD_BANDWIDTH", "pass both --sigma-x and --sigma-y or neither")
-        sigmas = (args.sigma_x, args.sigma_y)
-    spec = resolve_kernel_spec(args.kernel, sample, sigmas)
+    spec = resolve_kernel_spec(args.kernel, sample, _sigmas(args))
     gammas = GammaSet.from_string(args.gamma)
     plan = PermutationPlan(args.B, args.seed)
     report = permutation_test(
@@ -376,13 +380,8 @@ def _cmd_population(args) -> int:
         reps=100,
         seed=args.seed,
     )
-    if args.kernel == "ghsic":
-        if args.sigma_x is None or args.sigma_y is None:
-            raise fail("BAD_BANDWIDTH", "population ghsic needs --sigma-x and --sigma-y")
-        spec = KernelPairSpec.ghsic(args.sigma_x, args.sigma_y)
-    else:
-        spec = resolve_kernel_spec(args.kernel)
-    triple = mc_population_triple(cfg, spec, args.n_mc, args.seed)
+    spec = resolve_kernel_spec(args.kernel, sigmas=_sigmas(args))
+    triple = mc_population_triple(cfg, spec, args.n_mc)
     doc = triple.to_dict()
     doc["schema_version"] = SCHEMA_VERSION
     doc["command"] = "population"

@@ -169,38 +169,44 @@ def validate_sample(x, y) -> Sample:
 
 @dataclass(frozen=True)
 class KernelPairSpec:
-    """Which kernel pair (f1, f2) to use, with its arity and bandwidths."""
+    """Which kernel pair (f1, f2) to use, with its bandwidths; the arity
+    ``m`` follows from the id."""
 
     id: str
-    m: int
     bandwidths: Optional[tuple] = None
 
     def __post_init__(self):
         if self.id not in _KERNEL_ARITY:
             raise fail("BAD_KERNEL", f"unknown kernel id {self.id!r}")
-        if self.m != _KERNEL_ARITY[self.id]:
-            raise fail("BAD_KERNEL", f"{self.id} has arity {_KERNEL_ARITY[self.id]}, got m={self.m}")
         if self.id == GHSIC:
             if self.bandwidths is None:
                 raise fail("BAD_BANDWIDTH", "ghsic requires a (sigma1, sigma2) pair")
-            bw = tuple(float(b) for b in self.bandwidths)
+            try:
+                bw = tuple(float(b) for b in self.bandwidths)
+            except (TypeError, ValueError):
+                bw = ()
             if len(bw) != 2 or any(b <= 0 or not np.isfinite(b) for b in bw):
-                raise fail("BAD_BANDWIDTH", f"bandwidths must be two positive reals, got {self.bandwidths}")
+                raise fail("BAD_BANDWIDTH", f"bandwidths must be two positive reals, got {self.bandwidths!r}")
             object.__setattr__(self, "bandwidths", bw)
         elif self.bandwidths is not None:
             raise fail("BAD_KERNEL", f"{self.id} takes no bandwidths")
 
+    @property
+    def m(self) -> int:
+        """Arity: the number of arguments of f1 and f2."""
+        return _KERNEL_ARITY[self.id]
+
     @classmethod
     def dcov(cls) -> "KernelPairSpec":
-        return cls(DCOV, 4)
+        return cls(DCOV)
 
     @classmethod
     def ghsic(cls, sigma1: float, sigma2: float) -> "KernelPairSpec":
-        return cls(GHSIC, 4, (sigma1, sigma2))
+        return cls(GHSIC, (sigma1, sigma2))
 
     @classmethod
     def pcov(cls) -> "KernelPairSpec":
-        return cls(PCOV, 5)
+        return cls(PCOV)
 
     @property
     def is_pair_dependent(self) -> bool:

@@ -33,7 +33,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,19 +89,19 @@ def derive_seed(master: int, *path: int) -> int:
 class PermutationPlan:
     """Permutation budget plus the seed that fixes every replicate."""
 
-    b_count: int = 200
-    seed: Optional[int] = None
+    b_count: int
+    seed: int
 
     def __post_init__(self):
         if self.b_count < 1:
             raise fail("BAD_PLAN", f"b_count must be positive, got {self.b_count}")
-        if self.seed is not None and not (0 <= int(self.seed) <= _MASK64):
+        if self.seed is None:
+            raise fail("SEED_REQUIRED", "permutation plan must carry a seed")
+        if not (0 <= int(self.seed) <= _MASK64):
             raise fail("BAD_PLAN", "seed must fit in 64 bits")
 
     def permutation(self, b: int, n: int) -> np.ndarray:
         """The b-th permutation of range(n); pure function of (seed, b)."""
-        if self.seed is None:
-            raise fail("SEED_REQUIRED", "plan has no seed")
         k0 = derive_seed(self.seed, b)
         k1 = _mix64(k0 ^ 0xD6E8FEB86659FD93)
         rng = getattr(_DRAW, "rng", None)
@@ -147,7 +146,7 @@ def combine_cauchy(p):
 _COMBINE = {"fisher": combine_fisher, "min": combine_min, "cauchy": combine_cauchy}
 
 
-def asymptotic_pvalue(scaled_mu: float, n: int, gamma: Gamma, sigma0: float, m: int) -> float:
+def asymptotic_pvalue(scaled_mu: float, gamma: Gamma, sigma0: float, m: int) -> float:
     """Half-normal tail p-value for even or infinite exponents.
 
     ``scaled_mu`` is the already-scaled statistic sqrt(n) * mu_hat. The
@@ -164,8 +163,6 @@ def asymptotic_pvalue(scaled_mu: float, n: int, gamma: Gamma, sigma0: float, m: 
         raise fail("BAD_GAMMA", f"no distribution-free limit for odd gamma {gamma}")
     if not (sigma0 > 0.0) or not math.isfinite(sigma0):
         raise fail("BAD_SIGMA", f"sigma0 must be positive, got {sigma0!r}")
-    if n < 1:
-        raise fail("TOO_SMALL", f"n must be >= 1, got {n}")
     factor = 1.0 if is_infinity(gamma) else 2.0 ** (1.0 / gamma)
     t = scaled_mu / (factor * m * sigma0)
     p = math.erfc(t / math.sqrt(2.0))
@@ -208,14 +205,14 @@ def permutation_test(
     threads: int = 1,
 ) -> TestReport:
     """Run the full permutation procedure and assemble a TestReport."""
-    if plan.seed is None:
-        raise fail("SEED_REQUIRED", "permutation plan must carry a seed")
     if tie_mode not in ("strict", "inclusive"):
         raise fail("BAD_PLAN", f"unknown tie mode {tie_mode!r}")
     combiners = tuple(combiners)
     for c in combiners:
         if c not in _COMBINE:
             raise fail("BAD_PLAN", f"unknown combiner {c!r}")
+    if len(set(combiners)) != len(combiners):
+        raise fail("BAD_PLAN", f"duplicate combiner in {list(combiners)}")
     n = sample.n
     if n < spec.m:
         raise fail("TOO_SMALL", f"need n >= {spec.m}, got n={n}")
@@ -279,7 +276,7 @@ def permutation_test(
     for j, g in enumerate(glist):
         p_asym = None
         if has_half_normal_limit(g) and sigma0 is not None:
-            p_asym = asymptotic_pvalue(float(scaled0[j]), n, g, sigma0, spec.m)
+            p_asym = asymptotic_pvalue(float(scaled0[j]), g, sigma0, spec.m)
         per_gamma[g] = GammaResult(
             mu_hat=float(mu0[j]),
             scaled_stat=float(scaled0[j]),

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data_model import DCOV, GHSIC, PCOV, KernelPairSpec, Sample
+from .data_model import DCOV, GHSIC, KernelPairSpec, Sample
 from .errors import fail
 
 F1 = "f1"
@@ -281,22 +281,17 @@ def build_pair_matrices(sample: Sample, spec: KernelPairSpec) -> PairKernelMatri
 def resolve_kernel_spec(kind: str, sample: Sample = None, sigmas=None) -> KernelPairSpec:
     """Build a concrete KernelPairSpec from a CLI-style kernel name.
 
-    For ghsic the bandwidths come from ``sigmas`` when given, otherwise from
-    the median heuristic on the sample's x and y blocks.
+    ``sigmas`` become the spec's bandwidths, which only ghsic accepts. A
+    ghsic kernel without them takes the median heuristic on the sample's x
+    and y blocks.
     """
     kind = kind.lower()
-    if kind == DCOV:
-        return KernelPairSpec.dcov()
-    if kind == PCOV:
-        return KernelPairSpec.pcov()
-    if kind == GHSIC:
-        if sigmas is not None:
-            return KernelPairSpec.ghsic(*sigmas)
+    if kind == GHSIC and sigmas is None:
         if sample is None:
             raise fail("BAD_BANDWIDTH", "ghsic needs sigmas or a sample to medianize")
         _check_fits(sample)
-        return KernelPairSpec.ghsic(median_bandwidth(sample.x), median_bandwidth(sample.y))
-    raise fail("BAD_KERNEL", f"unknown kernel {kind!r}")
+        sigmas = (median_bandwidth(sample.x), median_bandwidth(sample.y))
+    return KernelPairSpec(kind, sigmas)
 
 
 def pair_value_table(spec: KernelPairSpec, which: str, data: np.ndarray) -> np.ndarray:

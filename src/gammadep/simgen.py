@@ -100,6 +100,8 @@ class SimConfig:
             raise fail("BAD_MODEL", f"unknown model {self.model!r}")
         if self.error not in ERRORS:
             raise fail("BAD_ERROR", f"unknown error family {self.error!r}")
+        if self.n < 1:
+            raise fail("TOO_SMALL", f"n must be >= 1, got {self.n}")
         if min(self.d1, self.d2) < 1:
             raise fail("BAD_DIM", f"d1 and d2 must be >= 1, got {self.d1} and {self.d2}")
         if self.model in MODELS and self.d2 != self.d1:
@@ -182,10 +184,9 @@ class PopulationTriple:
         }
 
 
-def mc_population_triple(
-    cfg: SimConfig, spec: KernelPairSpec, n_mc: int, seed: int
-) -> PopulationTriple:
-    """Monte-Carlo estimates of the two mean differences with standard errors.
+def mc_population_triple(cfg: SimConfig, spec: KernelPairSpec, n_mc: int) -> PopulationTriple:
+    """Monte-Carlo estimates of the two mean differences with standard errors,
+    drawn from a generator keyed by cfg.seed.
 
     Each replicate draws m fresh observations and evaluates the three index
     patterns on them; the three streams share the f1 factor, which couples
@@ -193,7 +194,7 @@ def mc_population_triple(
     """
     if n_mc < 1:
         raise fail("BAD_MC", f"n_mc must be positive, got {n_mc}")
-    rng = _rng(seed)
+    rng = _rng(cfg.seed)
     m = spec.m
     rest = tuple(range(4, m))
     done = 0
@@ -239,25 +240,23 @@ class SizePowerResult:
 
     methods: tuple
     rejections: tuple
-    reps: int
-    alpha: float
     config: SimConfig
     kernel: str
     pvalues: np.ndarray = field(compare=False)
 
     def rate(self, method: str) -> float:
-        return self.rejections[self.methods.index(method)] / self.reps
+        return self.rejections[self.methods.index(method)] / self.config.reps
 
     def se(self, method: str) -> float:
         r = self.rate(method)
-        return math.sqrt(r * (1.0 - r) / self.reps)
+        return math.sqrt(r * (1.0 - r) / self.config.reps)
 
     def to_table_dict(self) -> dict:
         rows = [
             {
                 "method": m,
                 "rejections": self.rejections[i],
-                "reps": self.reps,
+                "reps": self.config.reps,
                 "rate": self.rate(m),
                 "se": self.se(m),
             }
@@ -270,8 +269,8 @@ class SizePowerResult:
             "d1": self.config.d1,
             "d2": self.config.d2,
             "kappa": self.config.kappa,
-            "alpha": self.alpha,
-            "reps": self.reps,
+            "alpha": self.config.alpha,
+            "reps": self.config.reps,
             "b_count": self.config.b_count,
             "seed": self.config.seed,
             "kernel": self.kernel,
@@ -281,8 +280,8 @@ class SizePowerResult:
     def to_text(self) -> str:
         lines = [
             f"model={self.config.model} error={self.config.error} n={self.config.n} "
-            f"d={self.config.d1} kappa={self.config.kappa} reps={self.reps} "
-            f"B={self.config.b_count} alpha={self.alpha} seed={self.config.seed}",
+            f"d={self.config.d1} kappa={self.config.kappa} reps={self.config.reps} "
+            f"B={self.config.b_count} alpha={self.config.alpha} seed={self.config.seed}",
             f"{'method':<10} {'rate':>8} {'se':>8} {'rejections':>11}",
         ]
         for i, m in enumerate(self.methods):
@@ -327,8 +326,6 @@ def size_power_experiment(
     return SizePowerResult(
         methods=methods,
         rejections=rejections,
-        reps=cfg.reps,
-        alpha=cfg.alpha,
         config=cfg,
         kernel=kernel,
         pvalues=pvals,

@@ -34,8 +34,8 @@ Permuting the y rows by pi changes only T1 and sum_i r_i c_pi(i). T1(pi) =
 B~[pi] is gathered only in the columns from lo on (a rows x n block, then a
 rows x (n - lo) block, together at most 512 KB) and reduced against the
 matching part of A~ by einsum, the off-diagonal part counted twice. A
-permuted triple builds no n x n temporary. The unpermuted T1 reduces the
-same blocks in the same order.
+permuted triple builds no n x n temporary. The unpermuted T1 is the same
+gather under the identity permutation.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def brute_force_triple(
     return StatTriple(s1 / count, s2 / count, s3 / count, n, spec)
 
 
-def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
-    """T1 = <A~, B~[perm][:, perm]>, or <A~, B~> when ``perm`` is None.
+def _t1(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
+    """T1 = <A~, B~[perm][:, perm]>.
 
     A~ and the permuted B~ are both symmetric, so only the upper triangle of
     blocks is walked. For each block of rows [lo, hi) (h = hi - lo) the
@@ -141,11 +141,9 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
                               + <blk[:, :h], A~[lo:hi, lo:hi]>.
 
     Each term is one einsum reduction that builds no product block; einsum,
-    unlike a BLAS dot, sums in an order fixed by the operands' shapes alone.
-    The unpermuted T1 reduces B~[lo:hi, lo:], made contiguous, in the same
-    blocks with the same calls, so a permutation that leaves B~
-    unchanged (the identity, or swapping two identical y rows) reproduces it
-    bit for bit.
+    unlike a BLAS dot, sums in an order fixed by the operands' shapes alone,
+    so a permutation that leaves B~ unchanged (the identity, or swapping two
+    identical y rows) reproduces the unpermuted T1 bit for bit.
 
     A block from row lo holds ``2 * _GATHER_ELEMS // (2n - lo)`` rows, so its
     two gathered blocks together hold at most ``2 * _GATHER_ELEMS`` elements
@@ -161,10 +159,7 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: Optional[np.ndarray]) -> float:
     while lo < n:
         hi = min(n, lo + max(1, 2 * _GATHER_ELEMS // (2 * n - lo)))
         h = hi - lo
-        if perm is None:
-            blk = np.ascontiguousarray(b[lo:hi, lo:])
-        else:
-            blk = b.take(perm[lo:hi], axis=0).take(perm[lo:], axis=1)
+        blk = b.take(perm[lo:hi], axis=0).take(perm[lo:], axis=1)
         if hi < n:
             total += 2.0 * float(np.einsum("ij,ij->", blk[:, h:], a[lo:hi, hi:]))
         total += float(np.einsum("ij,ij->", blk[:, :h], a[lo:hi, lo:hi]))
@@ -195,11 +190,13 @@ class PairStatCore:
         self.b_total = float(mats.c.sum())
 
     def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
-        """Triple for the sample with y rows permuted by ``perm`` (or not)."""
+        """Triple for the sample with y rows permuted by ``perm``; None is
+        the identity."""
         n = self.n
-        cperm = self.mats.c if perm is None else self.mats.c[perm]
+        if perm is None:
+            perm = np.arange(n)
         t1 = _t1(self.mats.a, self.mats.b, perm)
-        sig3 = float(self.mats.r @ cperm) - t1
+        sig3 = float(self.mats.r @ self.mats.c[perm]) - t1
         s1 = t1 / (n * (n - 1))
         s3 = sig3 / (n * (n - 1) * (n - 2))
         s2 = (self.a_total * self.b_total - 4.0 * sig3 - 2.0 * t1) / math.perm(n, 4)
@@ -239,9 +236,11 @@ class PcovPermCore:
         self._f1 = ax3[t0, t1, t4]
 
     def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
-        t0, t1, t2, t3, t4 = self._t
-        if perm is not None:
-            t0, t1, t2, t3, t4 = (perm[t] for t in (t0, t1, t2, t3, t4))
+        """Triple for the sample with y rows permuted by ``perm``; None is
+        the identity."""
+        if perm is None:
+            perm = np.arange(self.n)
+        t0, t1, t2, t3, t4 = (perm[t] for t in self._t)
         f1 = self._f1
         ay3 = self.ay3
         count = math.perm(self.n, 5)

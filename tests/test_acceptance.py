@@ -142,20 +142,20 @@ def test_c5_population_quantities():
     n_mc = 1_000_000
     checks = []
 
-    cfg1 = SimConfig(model="m1", n=4, d1=5, d2=5, error="normal", seed=1)
-    t1 = mc_population_triple(cfg1, spec, n_mc, seed=20240505)
+    cfg1 = SimConfig(model="m1", n=4, d1=5, d2=5, error="normal", seed=20240505)
+    t1 = mc_population_triple(cfg1, spec, n_mc)
     checks.append(("m1 u", abs(t1.u - 0.073) <= 3 * t1.se_u + 5e-4, f"{t1.u:.4f} vs 0.073"))
     checks.append(("m1 v", abs(t1.v - (-0.012)) <= 3 * t1.se_v + 5e-4, f"{t1.v:.4f} vs -0.012"))
 
-    cfg3 = SimConfig(model="m3", n=4, d1=5, d2=5, error="normal", seed=1)
-    t3 = mc_population_triple(cfg3, spec, n_mc, seed=20240506)
+    cfg3 = SimConfig(model="m3", n=4, d1=5, d2=5, error="normal", seed=20240506)
+    t3 = mc_population_triple(cfg3, spec, n_mc)
     checks.append(("m3 u", abs(t3.u - (-0.025)) <= 3 * t3.se_u + 5e-4, f"{t3.u:.4f} vs -0.025"))
     checks.append(("m3 v", abs(t3.v - 0.025) <= 3 * t3.se_v + 5e-4, f"{t3.v:.4f} vs 0.025"))
 
     # sign patterns: u > 0 > v for m2/m5, u < 0 < v for m4 (all at d=5, normal)
     for model, sign, seed in (("m2", +1, 20240508), ("m4", -1, 20240509), ("m5", +1, 20240510)):
-        cfg = SimConfig(model=model, n=4, d1=5, d2=5, error="normal", seed=1)
-        t = mc_population_triple(cfg, spec, n_mc, seed=seed)
+        cfg = SimConfig(model=model, n=4, d1=5, d2=5, error="normal", seed=seed)
+        t = mc_population_triple(cfg, spec, n_mc)
         ok = (t.u * sign > 3 * t.se_u) and (t.v * sign < -3 * t.se_v)
         checks.append((f"{model} signs", ok, f"u={t.u:.4f} v={t.v:.4f}"))
 
@@ -253,7 +253,7 @@ def test_c8_pvalue_super_uniformity(null_studies):
     worst_at = ""
     ok = True
     for design, res in null_studies.items():
-        reps = res.reps
+        reps = res.config.reps
         for j, m in enumerate(res.methods):
             p = res.pvalues[:, j]
             for q in grid:

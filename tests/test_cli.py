@@ -552,6 +552,48 @@ class TestPopulationCommand:
         assert "sum" in capsys.readouterr().out
 
 
+class TestRefusedInputs:
+    """An input that could not change the result is refused, not dropped."""
+
+    @staticmethod
+    def refused(argv, message, capsys):
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kernel", ["dcov", "pcov"])
+    def test_test_bandwidths_are_for_ghsic_only(self, kernel, csv_file, capsys):
+        argv = ["test", "--input", csv_file, "--x-cols", "0..2", "--y-cols", "2..4", "--kernel", kernel,
+                "--sigma-x", "1", "--sigma-y", "1", "--B", "9", "--seed", "1"]
+        self.refused(argv, f"BAD_KERNEL: {kernel} takes no bandwidths", capsys)
+
+    @pytest.mark.parametrize("kernel", ["dcov", "pcov"])
+    def test_population_bandwidths_are_for_ghsic_only(self, kernel, capsys):
+        argv = ["population", "--model", "m1", "--d", "2", "--kernel", kernel,
+                "--sigma-x", "1", "--sigma-y", "1", "--n-mc", "100", "--seed", "1"]
+        self.refused(argv, f"BAD_KERNEL: {kernel} takes no bandwidths", capsys)
+
+    @pytest.mark.parametrize("sigmas", [[], ["--sigma-x", "1"], ["--sigma-y", "1"]])
+    def test_population_ghsic_needs_both_bandwidths(self, sigmas, capsys):
+        argv = ["population", "--model", "m1", "--d", "2", "--kernel", "ghsic", "--n-mc", "100", "--seed", "1"]
+        self.refused(argv + sigmas, "BAD_BANDWIDTH", capsys)
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_simulate_nonpositive_n(self, n, capsys):
+        self.refused(["simulate", "--model", "null-a", "--n", n, "--seed", "1"], "TOO_SMALL", capsys)
+
+    def test_test_duplicate_combiner(self, csv_file, capsys):
+        argv = ["test", "--input", csv_file, "--x-cols", "0..2", "--y-cols", "2..4",
+                "--combiners", "fisher,fisher", "--B", "9", "--seed", "1"]
+        self.refused(argv, "BAD_PLAN: duplicate combiner", capsys)
+
+    def test_simulate_duplicate_combiner(self, capsys):
+        argv = ["simulate", "--model", "null-a", "--n", "20", "--d", "2", "--reps", "100", "--B", "9",
+                "--combiners", "fisher,min,fisher", "--seed", "1"]
+        self.refused(argv, "BAD_PLAN: duplicate combiner", capsys)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
         import gammadep

@@ -107,31 +107,41 @@ class TestGammaSet:
 class TestKernelPairSpec:
     def test_dcov(self):
         spec = KernelPairSpec.dcov()
-        assert spec.m == 4
+        assert spec.m == KernelPairSpec("dcov").m == 4
         assert spec.is_pair_dependent
 
     def test_pcov(self):
         spec = KernelPairSpec.pcov()
-        assert spec.m == 5
+        assert spec.m == KernelPairSpec("pcov").m == 5
         assert not spec.is_pair_dependent
+
+    def test_arity_is_read_only(self):
+        with pytest.raises(AttributeError):
+            KernelPairSpec.dcov().m = 5
+
+    def test_ghsic_factory_equals_constructor(self):
+        a = KernelPairSpec.ghsic(1, 2)
+        b = KernelPairSpec("ghsic", (1.0, 2.0))
+        assert a == b and hash(a) == hash(b)
 
     def test_ghsic_requires_bandwidths(self):
         with pytest.raises(GammadepError) as exc:
-            KernelPairSpec("ghsic", 4)
+            KernelPairSpec("ghsic")
+        assert exc.value.code == "BAD_BANDWIDTH"
+
+    @pytest.mark.parametrize("bandwidths", [4, ("a", 1), (1.0,), (1.0, 2.0, 3.0), (1.0, float("nan"))])
+    def test_ghsic_bandwidths_must_be_two_positive_reals(self, bandwidths):
+        with pytest.raises(GammadepError) as exc:
+            KernelPairSpec("ghsic", bandwidths)
         assert exc.value.code == "BAD_BANDWIDTH"
 
     def test_ghsic_positive_bandwidths(self):
         with pytest.raises(GammadepError):
             KernelPairSpec.ghsic(1.0, -2.0)
 
-    def test_arity_must_match(self):
-        with pytest.raises(GammadepError) as exc:
-            KernelPairSpec("dcov", 5)
-        assert exc.value.code == "BAD_KERNEL"
-
     def test_dcov_takes_no_bandwidths(self):
         with pytest.raises(GammadepError):
-            KernelPairSpec("dcov", 4, (1.0, 1.0))
+            KernelPairSpec("dcov", (1.0, 1.0))
 
 
 class TestStatTriple:

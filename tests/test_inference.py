@@ -35,32 +35,32 @@ from gammadep.ustat import PairStatCore
 
 class TestAsymptoticPvalue:
     def test_zero_statistic_gives_one(self):
-        assert asymptotic_pvalue(0.0, 100, 2, 1.0, 4) == 1.0
+        assert asymptotic_pvalue(0.0, 2, 1.0, 4) == 1.0
 
     def test_standard_normal_quantile(self):
         # t = 1.959964 when scaled_mu = t * 2^(1/2) * m * sigma0
         t = 1.959964
-        p = asymptotic_pvalue(t * math.sqrt(2.0) * 4 * 0.5, 100, 2, 0.5, 4)
+        p = asymptotic_pvalue(t * math.sqrt(2.0) * 4 * 0.5, 2, 0.5, 4)
         assert p == pytest.approx(0.05, abs=1e-6)
 
     def test_infinite_gamma_drops_the_root_factor(self):
-        p2 = asymptotic_pvalue(1.0, 50, 2, 1.0, 4)
-        pinf = asymptotic_pvalue(1.0, 50, INFINITY, 1.0, 4)
+        p2 = asymptotic_pvalue(1.0, 2, 1.0, 4)
+        pinf = asymptotic_pvalue(1.0, INFINITY, 1.0, 4)
         # same scaled statistic studentizes larger without the 2^(1/2)
         assert pinf < p2
 
     def test_odd_gamma_rejected(self):
         with pytest.raises(GammadepError) as exc:
-            asymptotic_pvalue(1.0, 100, 3, 1.0, 4)
+            asymptotic_pvalue(1.0, 3, 1.0, 4)
         assert exc.value.code == "BAD_GAMMA"
 
     def test_bad_sigma(self):
         with pytest.raises(GammadepError) as exc:
-            asymptotic_pvalue(1.0, 100, 2, 0.0, 4)
+            asymptotic_pvalue(1.0, 2, 0.0, 4)
         assert exc.value.code == "BAD_SIGMA"
 
     def test_negative_statistic_clamps_to_one(self):
-        assert asymptotic_pvalue(-3.0, 100, INFINITY, 1.0, 4) == 1.0
+        assert asymptotic_pvalue(-3.0, INFINITY, 1.0, 4) == 1.0
 
 
 class TestCombiners:
@@ -171,9 +171,8 @@ class TestPermutationPlan:
         assert not np.array_equal(plan.permutation(1, 50), plan.permutation(2, 50))
 
     def test_seed_required(self):
-        plan = PermutationPlan(16, None)
         with pytest.raises(GammadepError) as exc:
-            plan.permutation(1, 10)
+            PermutationPlan(16, None)
         assert exc.value.code == "SEED_REQUIRED"
 
     def test_positive_b_count(self):
@@ -460,7 +459,7 @@ class TestPermutationTest:
         assert report.sigma0_sq == jackknife_fast(mats).sigma0_sq
         sigma0 = math.sqrt(permutation_sigma0_sq(mats))
         for g, res in report.per_gamma.items():
-            assert res.p_asym == asymptotic_pvalue(res.scaled_stat, 26, g, sigma0, spec.m)
+            assert res.p_asym == asymptotic_pvalue(res.scaled_stat, g, sigma0, spec.m)
 
     def test_inclusive_tie_mode_keeps_pvalues_valid(self):
         sample = small_sample(7, n=22)

@@ -1,6 +1,7 @@
 """Generator and Monte-Carlo driver tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,25 +133,25 @@ class TestGenModel:
 class TestMcPopulationTriple:
     def test_sum_is_exactly_u_plus_v(self):
         cfg = SimConfig(model="m1", n=4, d1=3, d2=3, seed=41)
-        t = mc_population_triple(cfg, KernelPairSpec.dcov(), 20_000, seed=41)
+        t = mc_population_triple(cfg, KernelPairSpec.dcov(), 20_000)
         assert t.sum == t.u + t.v
 
     def test_independence_gives_zeros(self):
         cfg = SimConfig(model="null-a", n=4, d1=3, d2=3, seed=42)
-        t = mc_population_triple(cfg, KernelPairSpec.dcov(), 200_000, seed=42)
+        t = mc_population_triple(cfg, KernelPairSpec.dcov(), 200_000)
         assert abs(t.u) <= 3 * t.se_u
         assert abs(t.v) <= 3 * t.se_v
         assert abs(t.sum) <= 3 * t.se_sum
 
     def test_m1_d5_matches_reference_population_values(self):
         cfg = SimConfig(model="m1", n=4, d1=5, d2=5, error="normal", seed=43)
-        t = mc_population_triple(cfg, KernelPairSpec.dcov(), 300_000, seed=43)
+        t = mc_population_triple(cfg, KernelPairSpec.dcov(), 300_000)
         assert t.u == pytest.approx(0.073, abs=3 * t.se_u + 5e-4)
         assert t.v == pytest.approx(-0.012, abs=3 * t.se_v + 5e-4)
 
     def test_pcov_population_runs(self):
         cfg = SimConfig(model="m3", n=5, d1=2, d2=2, seed=44)
-        t = mc_population_triple(cfg, KernelPairSpec.pcov(), 20_000, seed=44)
+        t = mc_population_triple(cfg, KernelPairSpec.pcov(), 20_000)
         assert t.n_mc == 20_000
         assert math.isfinite(t.u) and math.isfinite(t.v)
 
@@ -159,11 +160,11 @@ class TestMcPopulationTriple:
         # the linear model and negative for the circle model
         spec = KernelPairSpec.dcov()
         m1 = mc_population_triple(
-            SimConfig(model="m1", n=4, d1=5, d2=5, error="t3", seed=1), spec, 800_000, seed=45
+            SimConfig(model="m1", n=4, d1=5, d2=5, error="t3", seed=45), spec, 800_000
         )
         assert m1.u > 3 * m1.se_u and m1.v < -3 * m1.se_v
         m3 = mc_population_triple(
-            SimConfig(model="m3", n=4, d1=5, d2=5, error="t3", seed=1), spec, 400_000, seed=46
+            SimConfig(model="m3", n=4, d1=5, d2=5, error="t3", seed=46), spec, 400_000
         )
         assert m3.u < -3 * m3.se_u and m3.v > 3 * m3.se_v
 
@@ -220,7 +221,7 @@ PINNED_POPULATIONS = [
     "cfg,spec,seed,want", PINNED_POPULATIONS, ids=["dcov-m1-d3", "ghsic-null-a-d1", "pcov-m3-d2"]
 )
 def test_population_values_are_pinned(cfg, spec, seed, want):
-    assert mc_population_triple(cfg, spec, 20_000, seed).to_dict() == want
+    assert mc_population_triple(replace(cfg, seed=seed), spec, 20_000).to_dict() == want
 
 
 class TestSizePowerExperiment:
