@@ -28,7 +28,7 @@ from .data_model import (
     validate_sample,
 )
 from .errors import GammadepError, fail
-from .inference import PermutationPlan, derive_seed, permutation_test
+from .inference import PermutationPlan, check_seed, derive_seed, permutation_test
 from .kernels import build_pair_matrices, resolve_kernel_spec
 from .simgen import (
     ERRORS,
@@ -164,7 +164,7 @@ def _emit(doc: dict, out: Optional[str], reproducible: bool) -> None:
         doc = dict(doc)
         doc["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     text = json.dumps(doc, indent=2, allow_nan=False)
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -177,7 +177,7 @@ def _finish(args, doc: dict, text: str) -> None:
     ``--out`` instead."""
     if args.format == "text":
         print(text)
-    if args.format == "json" or args.out:
+    if args.format == "json" or args.out is not None:
         _emit(doc, args.out, args.reproducible)
 
 
@@ -215,11 +215,15 @@ def run_oracle_suite(
     ``triple_fn``/``jack_fn`` are injectable so a deliberately broken fast
     path can be shown to FAIL (negative control). An empty suite would pass
     vacuously, so ``seeds`` < 1 and an empty ``n_range`` are refused, and so
-    is a ``tol`` that is negative or not finite.
+    is a ``tol`` that is negative or not finite. Instances need n >= 4, the
+    pair kernels' arity.
     """
     lo, hi = n_range
+    check_seed(seed)
     if seeds < 1:
         raise fail("BAD_SEEDS", f"need at least one seed, got {seeds}")
+    if lo < 4:
+        raise fail("BAD_N_RANGE", f"n_min must be >= 4, got {lo}")
     if lo > hi:
         raise fail("BAD_N_RANGE", f"n_min {lo} exceeds n_max {hi}")
     if not (0.0 <= tol < math.inf):
@@ -228,9 +232,6 @@ def run_oracle_suite(
     worst = 0.0
     budget = TupleBudget(max(14, hi))
     for kind in kernels:
-        if kind == "pcov":
-            entries.append({"kernel": kind, "status": "SKIPPED", "reason": "brute-force only; no fast path to compare"})
-            continue
         max_err = 0.0
         checked = 0
         for s in range(seeds):
@@ -271,15 +272,19 @@ def run_oracle_suite(
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GAMMADEP_THREADS")
-    if env:
+    """--threads, else GAMMADEP_THREADS, else 1; a count below 1 is refused."""
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("GAMMADEP_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise fail("BAD_THREADS", f"GAMMADEP_THREADS={env!r} is not an integer") from None
-    return 1
+    if threads < 1:
+        raise fail("BAD_THREADS", f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _sigmas(args):
@@ -292,8 +297,6 @@ def _sigmas(args):
 
 
 def _cmd_test(args) -> int:
-    if not (0.0 < args.alpha < 1.0):
-        raise fail("BAD_ALPHA", f"alpha must be in (0, 1), got {args.alpha}")
     header, data = read_csv(args.input)
     x_idx = parse_columns(args.x_cols, header)
     y_idx = parse_columns(args.y_cols, header)
@@ -315,7 +318,6 @@ def _cmd_test(args) -> int:
     doc["input"] = args.input
     doc["x_cols"] = args.x_cols
     doc["y_cols"] = args.y_cols
-    doc["alpha"] = args.alpha
     _finish(args, doc, _report_text(doc))
     return EXIT_OK
 
@@ -358,10 +360,7 @@ def _cmd_oracle_check(args) -> int:
         seed=args.seed,
     )
     doc["command"] = "oracle-check"
-    lines = []
-    for entry in doc["entries"]:
-        detail = f" max_error={entry.get('max_error'):.3e}" if "max_error" in entry else ""
-        lines.append(f"{entry['kernel']}: {entry['status']}{detail}")
+    lines = [f"{e['kernel']}: {e['status']} max_error={e['max_error']:.3e}" for e in doc["entries"]]
     _finish(args, doc, "\n".join(lines))
     if doc["status"] == "FAIL":
         print("oracle check FAILED", file=sys.stderr)
@@ -386,13 +385,13 @@ def _cmd_population(args) -> int:
     doc["schema_version"] = SCHEMA_VERSION
     doc["command"] = "population"
     doc["model"] = args.model
-    doc["error"] = args.error
+    doc["error"] = cfg.error
     doc["d"] = args.d
     doc["kappa"] = cfg.kappa
     doc["kernel"] = _kernel_to_dict(spec)
     doc["seed"] = args.seed
     text = (
-        f"model={args.model} d={args.d} error={args.error} n_mc={args.n_mc}\n"
+        f"model={args.model} d={args.d} error={cfg.error} n_mc={args.n_mc}\n"
         f"u   = {triple.u:+.6f} (se {triple.se_u:.6f})\n"
         f"v   = {triple.v:+.6f} (se {triple.se_v:.6f})\n"
         f"sum = {triple.sum:+.6f} (se {triple.se_sum:.6f})"
@@ -408,8 +407,7 @@ def _cmd_population(args) -> int:
 def _add_common(p, default_format: str) -> None:
     p.add_argument("--out", help="write the JSON document to this path")
     p.add_argument("--format", choices=("json", "text"), default=default_format, help="what stdout carries")
-    p.add_argument("--seed", type=int, required=True, help="64-bit run seed")
-    p.add_argument("--threads", type=int, default=None, help="worker cap (results invariant); falls back to GAMMADEP_THREADS")
+    p.add_argument("--seed", type=int, required=True, help="run seed in [0, 2**64)")
     p.add_argument("--reproducible", action="store_true", help="suppress the timestamp field")
 
 
@@ -429,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sigma-y", type=float, default=None)
     t.add_argument("--gamma", default="1,2,3,4,5,6,inf")
     t.add_argument("--B", type=int, default=200, help="permutation count")
-    t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--combiners", default="fisher,min,cauchy")
     t.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
+    t.add_argument("--threads", type=int, default=None, help="worker cap (results invariant); falls back to GAMMADEP_THREADS")
     _add_common(t, "json")
     t.set_defaults(fn=_cmd_test)
 
@@ -439,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", choices=NULL_DESIGNS + MODELS, required=True)
     s.add_argument("--n", type=int, default=100)
     s.add_argument("--d", type=int, default=5)
-    s.add_argument("--error", choices=ERRORS, default="normal")
+    s.add_argument("--error", choices=ERRORS, default=None, help="default: a null design's own family, else normal")
     s.add_argument("--kappa", type=float, default=None)
     s.add_argument("--reps", type=int, default=500)
     s.add_argument("--B", type=int, default=200)
@@ -448,11 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--combiners", default="fisher,min,cauchy")
     s.add_argument("--kernel", choices=("dcov", "ghsic"), default="dcov")
     s.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
+    s.add_argument("--threads", type=int, default=None, help="worker cap (results invariant); falls back to GAMMADEP_THREADS")
     _add_common(s, "text")
     s.set_defaults(fn=_cmd_simulate)
 
     o = sub.add_parser("oracle-check", help="fast-vs-brute equivalence gate")
-    o.add_argument("--kernel", choices=("dcov", "ghsic", "pcov", "all"), default="all")
+    o.add_argument("--kernel", choices=("dcov", "ghsic", "all"), default="all")
     o.add_argument("--seeds", type=int, default=100)
     o.add_argument("--n-min", type=int, default=6)
     o.add_argument("--n-max", type=int, default=12)
@@ -463,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("population", help="Monte-Carlo population mean differences")
     p.add_argument("--model", choices=NULL_DESIGNS + MODELS, required=True)
     p.add_argument("--d", type=int, default=5)
-    p.add_argument("--error", choices=ERRORS, default="normal")
+    p.add_argument("--error", choices=ERRORS, default=None, help="default: a null design's own family, else normal")
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--kernel", choices=("dcov", "ghsic", "pcov"), default="dcov")
     p.add_argument("--sigma-x", type=float, default=None)

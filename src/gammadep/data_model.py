@@ -185,8 +185,12 @@ class KernelPairSpec:
                 bw = tuple(float(b) for b in self.bandwidths)
             except (TypeError, ValueError):
                 bw = ()
-            if len(bw) != 2 or any(b <= 0 or not np.isfinite(b) for b in bw):
-                raise fail("BAD_BANDWIDTH", f"bandwidths must be two positive reals, got {self.bandwidths!r}")
+            # the kernel divides by 2 sigma^2, which must neither underflow nor overflow
+            if len(bw) != 2 or not all(b > 0 and 0.0 < 2.0 * b * b < math.inf for b in bw):
+                raise fail(
+                    "BAD_BANDWIDTH",
+                    f"bandwidths must be two positive reals with 2 sigma^2 finite and nonzero, got {self.bandwidths!r}",
+                )
             object.__setattr__(self, "bandwidths", bw)
         elif self.bandwidths is not None:
             raise fail("BAD_KERNEL", f"{self.id} takes no bandwidths")
@@ -221,8 +225,6 @@ class StatTriple:
     s1: float
     s2: float
     s3: float
-    n: int
-    kernel: KernelPairSpec
 
     def __post_init__(self):
         for name in ("s1", "s2", "s3"):

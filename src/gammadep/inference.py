@@ -85,6 +85,13 @@ def derive_seed(master: int, *path: int) -> int:
     return out
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a run seed outside [0, 2**64): every stream is keyed by a
+    64-bit value, so any other seed would alias one inside the range."""
+    if not (0 <= seed <= _MASK64):
+        raise fail("SEED_RANGE", f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class PermutationPlan:
     """Permutation budget plus the seed that fixes every replicate."""
@@ -97,8 +104,7 @@ class PermutationPlan:
             raise fail("BAD_PLAN", f"b_count must be positive, got {self.b_count}")
         if self.seed is None:
             raise fail("SEED_REQUIRED", "permutation plan must carry a seed")
-        if not (0 <= int(self.seed) <= _MASK64):
-            raise fail("BAD_PLAN", "seed must fit in 64 bits")
+        check_seed(int(self.seed))
 
     def permutation(self, b: int, n: int) -> np.ndarray:
         """The b-th permutation of range(n); pure function of (seed, b)."""

@@ -163,11 +163,13 @@ def pairwise_ghsic(matrix, sigma: float) -> np.ndarray:
     The exponent uses the unsquared distance; see the README note on this
     convention.
     """
-    if not (sigma > 0) or not math.isfinite(sigma):
-        raise fail("BAD_BANDWIDTH", f"sigma must be positive, got {sigma!r}")
+    if not (sigma > 0 and 0.0 < 2.0 * sigma * sigma < math.inf):
+        raise fail("BAD_BANDWIDTH", f"sigma must be positive with 2 sigma^2 finite and nonzero, got {sigma!r}")
     k = pairwise_dcov(matrix)
     np.negative(k, out=k)
-    np.divide(k, 2.0 * sigma * sigma, out=k)
+    # an exponent past float range overflows to -inf, and its entry is 0
+    with np.errstate(over="ignore"):
+        np.divide(k, 2.0 * sigma * sigma, out=k)
     return np.exp(k, out=k)
 
 
@@ -219,7 +221,8 @@ def kernel_values(spec: KernelPairSpec, which: str, z) -> np.ndarray:
         if spec.id == DCOV:
             return dist
         sigma = spec.bandwidths[0] if which == F1 else spec.bandwidths[1]
-        return np.exp(-dist / (2.0 * sigma * sigma))
+        with np.errstate(over="ignore"):
+            return np.exp(-dist / (2.0 * sigma * sigma))
     # angle kernel: arccos of the normalized inner product of z1-z5 and z2-z5
     u = z[:, 0, :] - z[:, 4, :]
     v = z[:, 1, :] - z[:, 4, :]

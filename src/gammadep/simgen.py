@@ -29,7 +29,7 @@ import numpy as np
 
 from .data_model import GammaSet, KernelPairSpec, Sample, validate_sample
 from .errors import fail
-from .inference import COMBINERS, PermutationPlan, derive_seed, permutation_test
+from .inference import COMBINERS, PermutationPlan, check_seed, derive_seed, permutation_test
 from .kernels import F1, F2, kernel_values, resolve_kernel_spec
 
 # each null design draws x and y independently from one error family
@@ -56,7 +56,7 @@ _MC_BATCH = 50_000
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & ((1 << 64) - 1))))
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def banded_cholesky(d: int) -> np.ndarray:
@@ -81,14 +81,16 @@ def _draw_error(rng: np.random.Generator, count: int, d: int, family: str) -> np
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation scenario. ``kappa=None`` resolves to the per-model
-    default for the chosen error family."""
+    """One simulation scenario. ``error=None`` resolves to the null design's
+    own family, or to "normal" for m1..m5; ``kappa=None`` resolves to the
+    per-model default for that family. A null design takes no kappa and no
+    family but its own."""
 
     model: str
     n: int
     d1: int
     d2: int
-    error: str = "normal"
+    error: Optional[str] = None
     kappa: Optional[float] = None
     reps: int = 500
     b_count: int = 200
@@ -98,6 +100,13 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in NULL_DESIGNS + MODELS:
             raise fail("BAD_MODEL", f"unknown model {self.model!r}")
+        family = _NULL_ERROR.get(self.model, "normal")
+        if self.error is None:
+            object.__setattr__(self, "error", family)
+        if self.model in _NULL_ERROR and self.error != family:
+            raise fail("BAD_ERROR", f"{self.model} draws {family} noise, got error {self.error!r}")
+        if self.model in _NULL_ERROR and self.kappa is not None:
+            raise fail("BAD_KAPPA", f"{self.model} takes no kappa, got {self.kappa}")
         if self.error not in ERRORS:
             raise fail("BAD_ERROR", f"unknown error family {self.error!r}")
         if self.n < 1:
@@ -108,6 +117,7 @@ class SimConfig:
             raise fail("BAD_DIM", f"{self.model} needs d2 == d1, got {self.d1} vs {self.d2}")
         if not (0.0 < self.alpha < 1.0):
             raise fail("BAD_ALPHA", f"alpha must be in (0, 1), got {self.alpha}")
+        check_seed(self.seed)
         if self.kappa is None and self.model in MODELS:
             object.__setattr__(self, "kappa", KAPPA_DEFAULTS[(self.model, self.error)])
         if self.kappa is not None and not (0.0 <= self.kappa < math.inf):
@@ -123,9 +133,8 @@ def _draw_xy(cfg: SimConfig, count: int, rng: np.random.Generator):
     d = cfg.d1
     k = cfg.kappa
     if cfg.model in _NULL_ERROR:
-        family = _NULL_ERROR[cfg.model]
-        x = _draw_error(rng, count, d, family)
-        return x, _draw_error(rng, count, cfg.d2, family)
+        x = _draw_error(rng, count, d, cfg.error)
+        return x, _draw_error(rng, count, cfg.d2, cfg.error)
     if cfg.model == "m1":
         x = rng.uniform(-1.0, 1.0, (count, d))
         eps = _draw_error(rng, count, d, cfg.error)
@@ -171,6 +180,11 @@ class PopulationTriple:
     se_v: float
     se_sum: float
     n_mc: int
+
+    def __post_init__(self):
+        for name in ("u", "v", "sum", "se_u", "se_v", "se_sum"):
+            if not math.isfinite(getattr(self, name)):
+                raise fail("NONFINITE", f"{name}={getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {

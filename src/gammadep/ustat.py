@@ -126,7 +126,7 @@ def brute_force_triple(
     s2 = float(np.sum(f1 * ay[t2, t3]))
     s3 = float(np.sum(f1 * ay[t0, t2]))
     count = math.perm(n, 4)
-    return StatTriple(s1 / count, s2 / count, s3 / count, n, spec)
+    return StatTriple(s1 / count, s2 / count, s3 / count)
 
 
 def _t1(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
@@ -184,7 +184,6 @@ class PairStatCore:
         if n < 4:
             raise fail("TOO_SMALL", f"need n >= 4, got n={n}")
         self.mats = mats
-        self.spec = mats.spec
         self.n = n
         self.a_total = float(mats.r.sum())
         self.b_total = float(mats.c.sum())
@@ -200,7 +199,7 @@ class PairStatCore:
         s1 = t1 / (n * (n - 1))
         s3 = sig3 / (n * (n - 1) * (n - 2))
         s2 = (self.a_total * self.b_total - 4.0 * sig3 - 2.0 * t1) / math.perm(n, 4)
-        return StatTriple(s1, s2, s3, n, self.spec)
+        return StatTriple(s1, s2, s3)
 
 
 def fast_triple_pair(mats: PairKernelMatrices) -> StatTriple:
@@ -227,7 +226,6 @@ class PcovPermCore:
         if n < 5:
             raise fail("TOO_SMALL", f"need n >= 5, got n={n}")
         budget.check(n, 5)
-        self.spec = spec
         self.n = n
         self.ay3 = apex_value_table(spec, F2, sample.y)
         t0, t1, t2, t3, t4 = _tuple_columns(n, 5)
@@ -247,7 +245,7 @@ class PcovPermCore:
         s1 = float(np.sum(f1 * ay3[t0, t1, t4])) / count
         s2 = float(np.sum(f1 * ay3[t2, t3, t4])) / count
         s3 = float(np.sum(f1 * ay3[t0, t2, t4])) / count
-        return StatTriple(s1, s2, s3, self.n, self.spec)
+        return StatTriple(s1, s2, s3)
 
 
 def stat_core_for(sample: Sample, spec: KernelPairSpec):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from gammadep import kernels
 from gammadep.cli import (
     EXIT_DATA,
     EXIT_OK,
+    EXIT_ORACLE,
     EXIT_USAGE,
+    build_parser,
     main,
     parse_columns,
     read_csv,
@@ -248,6 +251,15 @@ class TestTestCommand:
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0"), (None, "-1")])
+    def test_threads_below_one_are_refused(self, flag, env, csv_file, capsys, monkeypatch):
+        argv = ["test", "--input", csv_file, "--x-cols", "0..2", "--y-cols", "2..4", "--B", "9", "--seed", "1"]
+        if env is not None:
+            monkeypatch.setenv("GAMMADEP_THREADS", env)
+        assert main(argv + (["--threads", flag] if flag else [])) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "BAD_THREADS" in captured.err and captured.out == ""
+
     def test_constant_y_degenerate_report(self, const_y_csv, tmp_path):
         out = tmp_path / "deg.json"
         code = main(
@@ -424,17 +436,18 @@ class TestOracleCheckCommand:
         assert doc["command"] == "oracle-check"
         assert doc["status"] == "PASS"
 
-    def test_pcov_reports_skipped(self, capsys):
+    def test_pcov_is_refused(self, capsys):
+        # pcov has no fast path to compare, so a pcov entry would check nothing
         code = main(["oracle-check", "--kernel", "pcov", "--seeds", "3", "--seed", "1"])
-        assert code == EXIT_OK
-        assert "pcov: SKIPPED" in capsys.readouterr().out
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_injected_fault_fails_with_diagnostics(self):
         def broken_triple(mats):
-            t = StatTriple(0.0, 0.0, 0.0, mats.n, mats.spec)
+            t = StatTriple(0.0, 0.0, 0.0)
             real = __import__("gammadep").fast_triple_pair(mats)
             # perturb the collision-correction coefficient path
-            return StatTriple(real.s1, real.s2 + 1e-6, real.s3, mats.n, mats.spec)
+            return StatTriple(real.s1, real.s2 + 1e-6, real.s3)
 
         doc = run_oracle_suite(seeds=6, kernels=("dcov",), triple_fn=broken_triple)
         assert doc["status"] == "FAIL"
@@ -486,6 +499,8 @@ class TestOracleCheckCommand:
             (["--tol", "nan"], "BAD_TOL"),
             (["--tol", "inf"], "BAD_TOL"),
             (["--tol=-1e-10"], "BAD_TOL"),
+            (["--n-min", "3"], "BAD_N_RANGE"),
+            (["--n-min", "-1"], "BAD_N_RANGE"),
         ],
     )
     def test_bad_suite_options_are_refused(self, args, code, capsys):
@@ -500,11 +515,12 @@ class TestOracleCheckCommand:
 class TestOutOfRangeFloats:
     @pytest.mark.parametrize("alpha", ["nan", "7", "0", "1", "-0.5", "inf"])
     def test_test_alpha(self, alpha, csv_file, capsys):
+        # test reports no decision at a level, so it takes no --alpha at all
         argv = ["test", "--input", csv_file, "--x-cols", "0..2", "--y-cols", "2..4",
                 "--B", "9", "--seed", "1", "--alpha", alpha]
-        assert main(argv) == EXIT_DATA
+        assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert "BAD_ALPHA" in captured.err and "Traceback" not in captured.err
+        assert "unrecognized arguments: --alpha" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("kappa", ["nan", "inf", "-1"])
@@ -540,6 +556,19 @@ class TestPopulationCommand:
         assert doc["sum"] == doc["u"] + doc["v"]
         assert doc["n_mc"] == 20000
         assert doc["kappa"] == 1.5  # m1 normal default
+
+    @pytest.mark.parametrize("command", ["simulate", "population"])
+    def test_null_b_echoes_the_t3_noise_it_draws(self, command, tmp_path):
+        base = [command, "--model", "null-b", "--d", "2", "--seed", "4", "--reproducible"]
+        if command == "simulate":
+            base += ["--n", "12", "--reps", "100", "--B", "9", "--gamma", "2"]
+        else:
+            base += ["--n-mc", "500"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(base + ["--out", str(a)]) == EXIT_OK
+        assert main(base + ["--error", "t3", "--out", str(b)]) == EXIT_OK
+        assert json.loads(a.read_text())["error"] == "t3"
+        assert a.read_bytes() == b.read_bytes()
 
     def test_population_text(self, capsys):
         code = main(
@@ -583,6 +612,42 @@ class TestRefusedInputs:
     def test_simulate_nonpositive_n(self, n, capsys):
         self.refused(["simulate", "--model", "null-a", "--n", n, "--seed", "1"], "TOO_SMALL", capsys)
 
+    @pytest.mark.parametrize("command", ["simulate", "population"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "null-a", "--error", "t3"], "BAD_ERROR: null-a draws normal noise"),
+            (["--model", "null-b", "--error", "normal"], "BAD_ERROR: null-b draws t3 noise"),
+            (["--model", "null-a", "--kappa", "0.7"], "BAD_KAPPA: null-a takes no kappa"),
+        ],
+    )
+    def test_null_design_noise_comes_from_the_design(self, command, flags, message, capsys):
+        self.refused([command, *flags, "--d", "2", "--seed", "1"], message, capsys)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--x-cols", "0..2", "--y-cols", "2..4", "--B", "9"],
+            ["simulate", "--model", "null-a", "--n", "20", "--d", "2", "--reps", "100", "--B", "9"],
+            ["population", "--model", "m1", "--d", "2", "--n-mc", "100"],
+            ["oracle-check", "--seeds", "1"],
+        ],
+    )
+    def test_seed_outside_64_bits(self, argv, seed, csv_file, capsys):
+        # 2^64 would alias seed 0, which the streams are keyed by
+        argv = argv + (["--input", csv_file] if argv[0] == "test" else [])
+        self.refused(argv + ["--seed", seed], "SEED_RANGE", capsys)
+
+    def test_population_overflowing_kappa(self, capsys):
+        argv = ["population", "--model", "m1", "--d", "2", "--kappa", "1e154", "--n-mc", "100", "--seed", "1"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.refused(argv, "NONFINITE", capsys)
+
+    def test_empty_out_path(self, capsys):
+        argv = ["population", "--model", "m1", "--d", "2", "--n-mc", "100", "--seed", "1", "--out", ""]
+        self.refused(argv, "IO", capsys)
+
     def test_test_duplicate_combiner(self, csv_file, capsys):
         argv = ["test", "--input", csv_file, "--x-cols", "0..2", "--y-cols", "2..4",
                 "--combiners", "fisher,fisher", "--B", "9", "--seed", "1"]
@@ -592,6 +657,133 @@ class TestRefusedInputs:
         argv = ["simulate", "--model", "null-a", "--n", "20", "--d", "2", "--reps", "100", "--B", "9",
                 "--combiners", "fisher,min,fisher", "--seed", "1"]
         self.refused(argv, "BAD_PLAN: duplicate combiner", capsys)
+
+
+def _options(command):
+    """The option actions the parser declares for one subcommand."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+
+class TestInputContract:
+    """Every flag of every subcommand, at edge values: the exit code is 0, 2
+    or 3 (4 for a failed oracle), nothing escapes as an exception, traceback
+    or warning, and an accepted value that differs from the base run changes
+    the document beyond the fields that echo that flag."""
+
+    # cheap valid runs; "{csv}" is the 14-row contract table
+    BASES = {
+        "test": ["--input", "{csv}", "--x-cols", "0..2", "--y-cols", "2..4", "--kernel", "ghsic",
+                 "--sigma-x", "1", "--sigma-y", "1", "--B", "9", "--seed", "1", "--reproducible"],
+        "simulate": ["--model", "m1", "--n", "6", "--d", "1", "--reps", "100", "--B", "19", "--alpha", "0.3",
+                     "--gamma", "2", "--combiners", "min", "--seed", "1", "--format", "json", "--reproducible"],
+        "oracle-check": ["--seeds", "2", "--n-min", "4", "--n-max", "5", "--seed", "1", "--format", "json",
+                         "--reproducible"],
+        "population": ["--model", "m1", "--d", "1", "--kernel", "ghsic", "--sigma-x", "1", "--sigma-y", "1",
+                       "--n-mc", "200", "--seed", "1", "--reproducible"],
+    }
+    EDGE_VALUES = ("0", "-1", "nan", "inf", "1e308", "")
+    # document fields that echo a flag under another name than its dest
+    ECHOES = {
+        "B": ("b_count",), "gamma": ("gammas",), "d": ("d1", "d2"), "tol": ("tolerance",),
+        "n_min": ("n_range",), "n_max": ("n_range",), "sigma_x": ("kernel",), "sigma_y": ("kernel",),
+    }
+    # accepted values of these flags leave the result as it is, by design
+    RESULT_INVARIANT = {
+        "--threads": "a worker cap: every report is identical across thread counts (c9)",
+        "--tol": "the oracle's pass bound: at 1 or 1e308 these instances pass as they do at 1e-10",
+        "--out": "names the file the document goes to, not what the document says",
+    }
+    # these scale the work, so every edge value must be refused
+    WORK_SCALING = {"--B", "--reps", "--n", "--n-mc", "--seeds", "--threads"}
+    # the only warnings allowed: numpy overflows on the kappa * eps draws and
+    # on the distances between them, and the run still ends with a coded refusal
+    MAY_WARN = {("simulate", "--kappa", "1e308"): "NONFINITE", ("population", "--kappa", "1e308"): "NONFINITE"}
+
+    CASES = [(command, action.option_strings[0]) for command in BASES for action in _options(command)]
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        rng = np.random.default_rng(103)
+        path = tmp_path_factory.mktemp("contract") / "contract.csv"
+        rows = "\n".join(",".join(f"{v!r}" for v in row) for row in rng.standard_normal((14, 4)).tolist())
+        path.write_text("a,b,c,d\n" + rows + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def base_runs(self):
+        return {}
+
+    @staticmethod
+    def _run(argv, capsys, may_warn=False):
+        with warnings.catch_warnings(record=may_warn):
+            warnings.simplefilter("always" if may_warn else "error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @staticmethod
+    def _with(base, option, values):
+        """``base`` without ``option``, then ``option`` given as ``values``."""
+        argv, i = [], 0
+        while i < len(base):
+            takes_value = i + 1 < len(base) and not base[i + 1].startswith("--")
+            if base[i] != option:
+                argv += base[i : i + 1 + takes_value]
+            i += 1 + takes_value
+        return argv + values
+
+    def test_every_flag_is_covered(self):
+        flags = {command: {a.option_strings[0] for a in _options(command)} for command in self.BASES}
+        for command, base in self.BASES.items():
+            assert {f for f in base if f.startswith("--")} <= flags[command]
+        assert set(self.RESULT_INVARIANT) | self.WORK_SCALING <= set().union(*flags.values())
+        # --threads only where a worker count is read; test reports no decision at an alpha
+        assert [c for c in flags if "--threads" in flags[c]] == ["test", "simulate"]
+        assert [c for c in flags if "--alpha" in flags[c]] == ["simulate"]
+        kernel = next(a for a in _options("oracle-check") if a.dest == "kernel")
+        assert tuple(kernel.choices) == ("dcov", "ghsic", "all")
+
+    @pytest.mark.parametrize("command, option", CASES)
+    def test_flag(self, command, option, table, base_runs, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # --out values land here
+        monkeypatch.delenv("GAMMADEP_THREADS", raising=False)
+        parser = build_parser()
+        action = next(a for a in _options(command) if option in a.option_strings)
+        base = [command] + [a.replace("{csv}", table) for a in self.BASES[command]]
+        if command not in base_runs:
+            base_runs[command] = self._run(base, capsys)
+        base_code, base_out, base_err = base_runs[command]
+        assert base_code == EXIT_OK, base_err
+        base_ns = parser.parse_args(base)
+
+        if action.nargs == 0:
+            cases = [[option], [option, option]]
+        else:
+            again = base[base.index(option) + 1] if option in base else "1"
+            cases = [[option, v] for v in self.EDGE_VALUES] + [[option, again, option, again]]
+        allowed = {EXIT_OK, EXIT_USAGE, EXIT_DATA} | ({EXIT_ORACLE} if command == "oracle-check" else set())
+        for values in cases:
+            argv = self._with(base, option, values)
+            refusal = self.MAY_WARN.get((command, option, values[-1]))
+            code, out, err = self._run(argv, capsys, may_warn=refusal is not None)
+            assert code in allowed, (argv, code, err)
+            assert "Traceback" not in err, argv
+            if code == EXIT_DATA:
+                assert err.startswith("error: "), (argv, err)
+            if refusal is not None:
+                assert code == EXIT_DATA and refusal in err, (argv, err)
+            if option in self.WORK_SCALING and len(values) == 2:
+                assert code != EXIT_OK, argv
+            if code != EXIT_OK or option in self.RESULT_INVARIANT:
+                continue
+            ns = parser.parse_args(argv)
+            if getattr(ns, action.dest) == getattr(base_ns, action.dest):
+                continue
+            echoes = {action.dest, *self.ECHOES.get(action.dest, ())}
+            doc = {k: v for k, v in json.loads(out).items() if k not in echoes}
+            base_doc = {k: v for k, v in json.loads(base_out).items() if k not in echoes}
+            assert doc != base_doc, f"{argv} changed only the echo of {option}"
 
 
 class TestModuleEntryPoint:

@@ -129,7 +129,10 @@ class TestKernelPairSpec:
             KernelPairSpec("ghsic")
         assert exc.value.code == "BAD_BANDWIDTH"
 
-    @pytest.mark.parametrize("bandwidths", [4, ("a", 1), (1.0,), (1.0, 2.0, 3.0), (1.0, float("nan"))])
+    # 2 sigma^2 underflows to 0 at 1e-300 and overflows at 1e308
+    @pytest.mark.parametrize(
+        "bandwidths", [4, ("a", 1), (1.0,), (1.0, 2.0, 3.0), (1.0, float("nan")), (1e-300, 1.0), (1.0, 1e308)]
+    )
     def test_ghsic_bandwidths_must_be_two_positive_reals(self, bandwidths):
         with pytest.raises(GammadepError) as exc:
             KernelPairSpec("ghsic", bandwidths)
@@ -146,13 +149,13 @@ class TestKernelPairSpec:
 
 class TestStatTriple:
     def test_differences(self):
-        t = StatTriple(3.0, 2.0, 1.5, 10, KernelPairSpec.dcov())
+        t = StatTriple(3.0, 2.0, 1.5)
         assert t.u == 1.5
         assert t.v == 0.5
 
     def test_nonfinite_rejected(self):
         with pytest.raises(GammadepError):
-            StatTriple(np.nan, 0.0, 0.0, 5, KernelPairSpec.dcov())
+            StatTriple(np.nan, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
     @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -160,11 +163,11 @@ class TestStatTriple:
         values = [0.5, 0.25, 0.125]
         values[slot] = bad
         with pytest.raises(GammadepError) as exc:
-            StatTriple(*values, 5, KernelPairSpec.dcov())
+            StatTriple(*values)
         assert exc.value.code == "NONFINITE"
         assert f"s{slot + 1}=" in str(exc.value)
 
     def test_numpy_scalars_become_python_floats(self):
-        t = StatTriple(np.float64(0.5), np.float32(0.25), np.float64(0.125), 5, KernelPairSpec.dcov())
+        t = StatTriple(np.float64(0.5), np.float32(0.25), np.float64(0.125))
         assert [type(v) for v in (t.s1, t.s2, t.s3)] == [float, float, float]
         assert (t.s1, t.s2, t.s3) == (0.5, 0.25, 0.125)

@@ -175,6 +175,12 @@ class TestPermutationPlan:
             PermutationPlan(16, None)
         assert exc.value.code == "SEED_REQUIRED"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(GammadepError) as exc:
+            PermutationPlan(16, seed)
+        assert exc.value.code == "SEED_RANGE"
+
     def test_positive_b_count(self):
         with pytest.raises(GammadepError):
             PermutationPlan(0, 1)
@@ -282,7 +288,7 @@ class TestPermutationTest:
             def scaled_stat(triple):
                 from gammadep import aggregate
 
-                return rate_w(triple.n, g) * aggregate(triple.u, triple.v, g)
+                return rate_w(sample.n, g) * aggregate(triple.u, triple.v, g)
 
             pool = [scaled_stat(base)]
             for b in range(1, 41):
@@ -310,7 +316,7 @@ class TestPermutationTest:
             else:
                 sp = validate_sample(sample.x, y[plan.permutation(b, sample.n)])
             t = fast_triple_pair(build_pair_matrices(sp, spec))
-            pool[b] = [rate_w(t.n, g) * aggregate(t.u, t.v, g) for g in gammas]
+            pool[b] = [rate_w(sample.n, g) * aggregate(t.u, t.v, g) for g in gammas]
         pmat = np.empty_like(pool)
         for j in range(2):
             for i in range(31):

@@ -4,6 +4,7 @@ against naive per-entry recomputation."""
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ class TestPairwiseGhsic:
         with pytest.raises(GammadepError) as exc:
             pairwise_ghsic(np.ones((3, 1)), 0.0)
         assert exc.value.code == "BAD_BANDWIDTH"
+
+    @pytest.mark.parametrize("sigma", [-1.0, 1e-300, 1e308, math.inf])
+    def test_two_sigma_squared_outside_float_range(self, sigma):
+        # 2 sigma^2 underflows to 0 at 1e-300 and overflows at 1e308
+        with pytest.raises(GammadepError) as exc:
+            pairwise_ghsic(np.ones((3, 1)), sigma)
+        assert exc.value.code == "BAD_BANDWIDTH"
+
+    def test_exponent_past_float_range_is_zero_without_a_warning(self):
+        # 2 sigma^2 = 2e-320 is subnormal, so every off-diagonal d / (2 sigma^2) overflows
+        m = np.random.default_rng(7).standard_normal((6, 2))
+        z = np.random.default_rng(8).standard_normal((5, 4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = pairwise_ghsic(m, 1e-160)
+            values = kernel_values(KernelPairSpec.ghsic(1e-160, 1e-160), F1, z)
+        assert np.array_equal(k, np.eye(6))
+        assert np.array_equal(values, np.zeros(5))
 
 
 class TestMedianBandwidth:

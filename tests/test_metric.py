@@ -216,19 +216,19 @@ class TestOrderingClauses:
 
 class TestGammaStats:
     def test_zero_triple(self):
-        t = StatTriple(0.0, 0.0, 0.0, 50, KernelPairSpec.dcov())
+        t = StatTriple(0.0, 0.0, 0.0)
         mu = gamma_stats(t, GammaSet.default())
         assert mu.shape == (len(GammaSet.default()),)
         assert np.all(mu == 0.0)
 
     def test_gamma_one_recovers_linear_combination(self):
-        t = StatTriple(1.3, 0.9, 0.7, 36, KernelPairSpec.dcov())
+        t = StatTriple(1.3, 0.9, 0.7)
         mu = gamma_stats(t, GammaSet((1,)))
         assert mu.shape == (1,)
         assert mu[0] == pytest.approx(t.s1 + t.s2 - 2.0 * t.s3, rel=1e-12)
 
     def test_entries_are_aggregate_times_rate(self):
-        t = StatTriple(1.0, 0.4, 0.6, 25, KernelPairSpec.dcov())
+        t = StatTriple(1.0, 0.4, 0.6)
         gammas = GammaSet.default()
         mu = gamma_stats(t, gammas)
         for j, g in enumerate(gammas):
@@ -244,7 +244,7 @@ class TestGammaStats:
 
     def test_cross_gamma_ordering_on_estimates(self):
         # mixed-sign estimates: even exponents dominate, max next, odd grow
-        t = StatTriple(1.0, 0.4, 0.6, 25, KernelPairSpec.dcov())
+        t = StatTriple(1.0, 0.4, 0.6)
         gammas = GammaSet.default()
         by_gamma = dict(zip(gammas, gamma_stats(t, gammas)))
         u, v = t.u, t.v  # 0.4, -0.2

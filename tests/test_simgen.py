@@ -71,6 +71,29 @@ class TestSimConfig:
         cfg = SimConfig(model="m1", n=20, d1=3, d2=3, kappa=0.0)
         assert cfg.kappa == 0.0
 
+    @pytest.mark.parametrize("model, family", [("null-a", "normal"), ("null-b", "t3"), ("m1", "normal")])
+    def test_error_defaults_to_the_design_family(self, model, family):
+        assert SimConfig(model=model, n=20, d1=3, d2=3).error == family
+        assert SimConfig(model=model, n=20, d1=3, d2=3, error=family) == SimConfig(model=model, n=20, d1=3, d2=3)
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"model": "null-a", "error": "t3"}, "BAD_ERROR"),
+            ({"model": "null-b", "error": "normal"}, "BAD_ERROR"),
+            ({"model": "null-a", "kappa": 0.7}, "BAD_KAPPA"),
+            ({"model": "null-b", "kappa": 0.0}, "BAD_KAPPA"),
+            ({"model": "m1", "seed": -1}, "SEED_RANGE"),
+            ({"model": "m1", "seed": 2**64}, "SEED_RANGE"),
+        ],
+    )
+    def test_inputs_that_cannot_apply_are_refused(self, overrides, code):
+        # a null design draws its own family and has no noise scale, so
+        # these would change only the echo; a seed is keyed mod 2^64
+        with pytest.raises(GammadepError) as exc:
+            SimConfig(n=20, d1=3, d2=3, **overrides)
+        assert exc.value.code == code
+
     def test_dimension_mismatch(self):
         with pytest.raises(GammadepError) as exc:
             SimConfig(model="m2", n=20, d1=3, d2=4)
@@ -148,6 +171,13 @@ class TestMcPopulationTriple:
         t = mc_population_triple(cfg, KernelPairSpec.dcov(), 300_000)
         assert t.u == pytest.approx(0.073, abs=3 * t.se_u + 5e-4)
         assert t.v == pytest.approx(-0.012, abs=3 * t.se_v + 5e-4)
+
+    @pytest.mark.parametrize("kappa", [1e154, 1e308])
+    def test_overflowing_noise_is_coded(self, kappa):
+        cfg = SimConfig(model="m1", n=4, d1=1, d2=1, kappa=kappa, seed=47)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GammadepError) as exc:
+            mc_population_triple(cfg, KernelPairSpec.dcov(), 200)
+        assert exc.value.code == "NONFINITE"
 
     def test_pcov_population_runs(self):
         cfg = SimConfig(model="m3", n=5, d1=2, d2=2, seed=44)
