@@ -53,7 +53,6 @@ from .ustat import (
     fast_triple_pair,
 )
 from .variance import (
-    JackknifeEstimate,
     jackknife_brute,
     jackknife_fast,
     permutation_sigma0_sq,
@@ -72,7 +71,6 @@ __all__ = [
     "GammaResult",
     "GammaSet",
     "GammadepError",
-    "JackknifeEstimate",
     "KernelPairSpec",
     "PairKernelMatrices",
     "PermutationPlan",

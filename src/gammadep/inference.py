@@ -273,7 +273,7 @@ def permutation_test(
     sigma0_sq = None
     sigma0 = None
     if spec.is_pair_dependent and n > spec.m:
-        sigma0_sq = jackknife_fast(core.mats).sigma0_sq
+        sigma0_sq = jackknife_fast(core.mats)
         perm_sigma0_sq = permutation_sigma0_sq(core.mats)
         if perm_sigma0_sq > 0.0:
             sigma0 = math.sqrt(perm_sigma0_sq)

@@ -23,12 +23,17 @@ Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
 therefore zeroes both diagonals once and freezes the arrays: a
 ``PairKernelMatrices`` holds A~ and B~, the zero-diagonal matrices that
-``ustat`` and ``variance`` share without copying. It also takes their
-off-diagonal row sums r and c once, on construction, and every closed form
-downstream (the triple, the jackknife display and the permutation variance)
-reads them from there. Constructing one for a kernel that is not
-pair-dependent raises PAIR_KERNEL_REQUIRED, so the fast paths that take a
-``PairKernelMatrices`` need no check of their own.
+``ustat`` and ``variance`` share without copying. It also takes, once and
+on construction, every O(n^2) reduction of the pair that a closed form
+reads: the off-diagonal row sums r and c, u_i = sum_j a_ij b_ij,
+p = A~ c and q = B~ r, the totals A.. = sum r and B.. = sum c, and the
+squared norms ||A~||^2 and ||B~||^2. The triple reads r, c and the totals;
+the jackknife display and the permutation variance read only these sums,
+never a matrix. The only other reduction of A~ and B~ is the triple's T1
+gather. Constructing one for a kernel that is not pair-dependent raises
+PAIR_KERNEL_REQUIRED, so the fast paths that take a ``PairKernelMatrices``
+need no check of their own, and one whose row sums are not finite (a
+distance past float range is inf) raises NONFINITE.
 """
 
 from __future__ import annotations
@@ -135,17 +140,19 @@ def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:
     side = _tile_side(d)
     tile = min(n, side)
     buf = np.empty(tile * tile * d, dtype=np.float64)
-    for i0 in range(0, n, side):
-        i1 = min(n, i0 + side)
-        for j0 in range(i0, n, side):
-            j1 = min(n, j0 + side)
-            diff = buf[: (i1 - i0) * (j1 - j0) * d].reshape(i1 - i0, j1 - j0, d)
-            diff[...] = m[i0:i1, None, :]
-            np.subtract(diff, m[None, j0:j1, :], out=diff)
-            blk = out[i0:i1, j0:j1]
-            np.einsum("ijk,ijk->ij", diff, diff, out=blk)
-            if j0 != i0:
-                out[j0:j1, i0:i1] = blk.T
+    # a difference past float range is an inf distance, refused downstream
+    with np.errstate(over="ignore"):
+        for i0 in range(0, n, side):
+            i1 = min(n, i0 + side)
+            for j0 in range(i0, n, side):
+                j1 = min(n, j0 + side)
+                diff = buf[: (i1 - i0) * (j1 - j0) * d].reshape(i1 - i0, j1 - j0, d)
+                diff[...] = m[i0:i1, None, :]
+                np.subtract(diff, m[None, j0:j1, :], out=diff)
+                blk = out[i0:i1, j0:j1]
+                np.einsum("ijk,ijk->ij", diff, diff, out=blk)
+                if j0 != i0:
+                    out[j0:j1, i0:i1] = blk.T
     return np.sqrt(out, out=out)
 
 
@@ -237,23 +244,42 @@ def kernel_values(spec: KernelPairSpec, which: str, z) -> np.ndarray:
 @dataclass(frozen=True)
 class PairKernelMatrices:
     """A~ and B~: the n x n matrices of f1 on X pairs and f2 on Y pairs,
-    with zero diagonals, and their read-only off-diagonal row sums r and c."""
+    with zero diagonals, and the O(n^2) sums every closed form reads:
+    the row sums r and c, u_i = sum_j a_ij b_ij, p = A~ c and q = B~ r (all
+    read-only), the totals A.. and B.., and the squared norms of A~ and B~."""
 
     a: np.ndarray
     b: np.ndarray
     spec: KernelPairSpec
     r: np.ndarray = field(init=False, compare=False, repr=False)
     c: np.ndarray = field(init=False, compare=False, repr=False)
+    u: np.ndarray = field(init=False, compare=False, repr=False)
+    p: np.ndarray = field(init=False, compare=False, repr=False)
+    q: np.ndarray = field(init=False, compare=False, repr=False)
+    a_total: float = field(init=False, compare=False, repr=False)
+    b_total: float = field(init=False, compare=False, repr=False)
+    a_sq: float = field(init=False, compare=False, repr=False)
+    b_sq: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.spec.is_pair_dependent:
             raise fail("PAIR_KERNEL_REQUIRED", f"{self.spec.id} has no pair fast path")
-        for name, mat, sums in (("a", self.a, "r"), ("b", self.b, "c")):
+        a, b = self.a, self.b
+        for name, mat in (("a", a), ("b", b)):
             if np.any(np.diagonal(mat) != 0.0):
                 raise fail("BAD_KERNEL", f"{name} must have a zero diagonal")
-            rows = mat.sum(axis=1)
-            rows.setflags(write=False)
-            object.__setattr__(self, sums, rows)
+        r, c = a.sum(axis=1), b.sum(axis=1)
+        # an entry past float range (an inf distance) leaves its row sum inf or nan
+        if not (np.isfinite(r).all() and np.isfinite(c).all()):
+            raise fail("NONFINITE", "a kernel matrix has a row sum that is not finite")
+        u = np.einsum("ij,ij->i", a, b)
+        for name, vec in (("r", r), ("c", c), ("u", u), ("p", a @ c), ("q", b @ r)):
+            vec.setflags(write=False)
+            object.__setattr__(self, name, vec)
+        object.__setattr__(self, "a_total", float(r.sum()))
+        object.__setattr__(self, "b_total", float(c.sum()))
+        object.__setattr__(self, "a_sq", float(np.einsum("ij,ij->", a, a)))
+        object.__setattr__(self, "b_sq", float(np.einsum("ij,ij->", b, b)))
 
     @property
     def n(self) -> int:

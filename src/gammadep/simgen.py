@@ -124,11 +124,14 @@ class SimConfig:
             raise fail("BAD_KAPPA", f"kappa must be finite and nonnegative, got {self.kappa}")
 
 
+@np.errstate(over="ignore")
 def _draw_xy(cfg: SimConfig, count: int, rng: np.random.Generator):
     """``count`` iid (x, y) rows for the configured model.
 
     Draw order is fixed (x or w first, then the error, then the label) so
-    results are reproducible for a given generator state.
+    results are reproducible for a given generator state. A kappa * eps
+    past float range is an inf entry, which every caller refuses with
+    NONFINITE.
     """
     d = cfg.d1
     k = cfg.kappa
@@ -217,22 +220,29 @@ def mc_population_triple(cfg: SimConfig, spec: KernelPairSpec, n_mc: int) -> Pop
     while done < n_mc:
         count = min(_MC_BATCH, n_mc - done)
         x, y = _draw_xy(cfg, count * m, rng)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise fail("NONFINITE", "a draw is past float range; lower kappa")
         x = x.reshape(count, m, cfg.d1)
         y = y.reshape(count, m, cfg.d2)
-        # each stream reorders y so that its index pair sits at z1, z2
-        f1 = kernel_values(spec, F1, x)
-        t1 = f1 * kernel_values(spec, F2, y)
-        t2 = f1 * kernel_values(spec, F2, y[:, (2, 3, 0, 1) + rest])
-        t3 = f1 * kernel_values(spec, F2, y[:, (0, 2, 1, 3) + rest])
-        us = t1 - t3
-        vs = t2 - t3
-        ss = t1 + t2 - 2.0 * t3
-        batches_u.append(float(np.sum(us)))
-        batches_v.append(float(np.sum(vs)))
-        batches_s.append(float(np.sum(ss)))
-        sq_u.append(float(np.sum(us * us)))
-        sq_v.append(float(np.sum(vs * vs)))
-        sq_s.append(float(np.sum(ss * ss)))
+        # a kernel value past float range is inf or nan, refused before the
+        # streams combine it; a square past it gives an inf se, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each stream reorders y so that its index pair sits at z1, z2
+            f1 = kernel_values(spec, F1, x)
+            t1 = f1 * kernel_values(spec, F2, y)
+            t2 = f1 * kernel_values(spec, F2, y[:, (2, 3, 0, 1) + rest])
+            t3 = f1 * kernel_values(spec, F2, y[:, (0, 2, 1, 3) + rest])
+            if not all(np.isfinite(t).all() for t in (t1, t2, t3)):
+                raise fail("NONFINITE", "a kernel value or product is past float range")
+            us = t1 - t3
+            vs = t2 - t3
+            ss = t1 + t2 - 2.0 * t3
+            batches_u.append(float(np.sum(us)))
+            batches_v.append(float(np.sum(vs)))
+            batches_s.append(float(np.sum(ss)))
+            sq_u.append(float(np.sum(us * us)))
+            sq_v.append(float(np.sum(vs * vs)))
+            sq_s.append(float(np.sum(ss * ss)))
         done += count
 
     def _mean_se(sums_list, sq_list):

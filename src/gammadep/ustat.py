@@ -16,9 +16,11 @@ Two routes with very different cost profiles:
 
 Closed forms, with A~ and B~ the zero-diagonal kernel matrices of a
 ``PairKernelMatrices`` (read in place, not copied), T1 = sum_{i!=j} a_ij b_ij,
-r_i / c_i the off-diagonal row sums (the ``PairKernelMatrices`` fields r and
-c, taken once when it is built), and Sig3 = sum_i r_i c_i - T1 (= the sum
-over ordered distinct triples (i,j,k) of a_ij b_ik):
+r_i / c_i the off-diagonal row sums and A.. / B.. their totals (the
+``PairKernelMatrices`` fields r, c, a_total and b_total, taken once when it
+is built; ``PairStatCore`` keeps no sums of its own), and
+Sig3 = sum_i r_i c_i - T1 (= the sum over ordered distinct triples (i,j,k)
+of a_ij b_ik):
 
     s1 = T1 / (n (n-1))
     s3 = Sig3 / (n (n-1) (n-2))
@@ -171,9 +173,9 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
 class PairStatCore:
     """Reusable O(n^2) engine for one pair of kernel matrices.
 
-    Reads r and c from the ``PairKernelMatrices`` and precomputes the two
-    totals, which survive a permutation of the y rows: permuting y by pi
-    turns B~ into B~[pi][:, pi], whose row sums are just c[pi], so a
+    Reads r, c and the two totals from the ``PairKernelMatrices``; the
+    totals survive a permutation of the y rows: permuting y by pi turns
+    B~ into B~[pi][:, pi], whose row sums are just c[pi], so a
     permuted triple is one row-blocked gather of the upper triangle of
     B~[pi][:, pi] against A~ (``_t1``: a rows x n and a rows x (n - lo)
     block, together at most 512 KB, live at a time) plus O(n) reductions.
@@ -185,8 +187,6 @@ class PairStatCore:
             raise fail("TOO_SMALL", f"need n >= 4, got n={n}")
         self.mats = mats
         self.n = n
-        self.a_total = float(mats.r.sum())
-        self.b_total = float(mats.c.sum())
 
     def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
         """Triple for the sample with y rows permuted by ``perm``; None is
@@ -198,7 +198,7 @@ class PairStatCore:
         sig3 = float(self.mats.r @ self.mats.c[perm]) - t1
         s1 = t1 / (n * (n - 1))
         s3 = sig3 / (n * (n - 1) * (n - 2))
-        s2 = (self.a_total * self.b_total - 4.0 * sig3 - 2.0 * t1) / math.perm(n, 4)
+        s2 = (self.mats.a_total * self.mats.b_total - 4.0 * sig3 - 2.0 * t1) / math.perm(n, 4)
         return StatTriple(s1, s2, s3)
 
 

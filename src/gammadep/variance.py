@@ -33,11 +33,10 @@ kernel matrices; the reduction is gated on the brute oracle in CI because
 every term in it is easy to get subtly wrong.
 
 Reduction (N = n - 1; A~ and B~ are the zero-diagonal matrices of a
-``PairKernelMatrices``, read in place; u_i = sum_p a_ip b_ip, an einsum
-row reduction that builds no n x n product,
-r/c the row sums of A~/B~ (the ``PairKernelMatrices`` fields r and c, taken
-once when it is built and shared with ``ustat`` and the permutation
-variance), p_i = (A~ c)_i, q_i = (B~ r)_i,
+``PairKernelMatrices``; u_i = sum_p a_ip b_ip, r/c the row sums of A~/B~,
+p_i = (A~ c)_i and q_i = (B~ r)_i are its fields u, r, c, p and q, taken
+once when it is built, so this module reads no n x n matrix and takes no
+O(n^2) reduction of its own;
 T1 = sum u_i, Sig3 = r.c - T1, and Sig3(-i) = Sig3 - r_i c_i - p_i - q_i + 3 u_i
 the triple sum avoiding index i):
 
@@ -79,13 +78,16 @@ patterns, so E_pi[u^2] costs O(n^2) in total. u is unchanged when a
 constant is added to the off-diagonal entries of A~ or B~, so both are
 first centered by their off-diagonal means; this makes M.. and tr(M)
 vanish and keeps the sum from cancelling O(n^2)-sized terms. The centered
-row sums are shifted from r and c, so no row sum is taken here.
+row sums and squared norms are shifted from the pair's r, c, totals and
+squared norms, so no matrix is read here.
+
+Both jackknife routes return a float through one finish, NONFINITE unless
+the estimate is finite and nonnegative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,19 +98,18 @@ from .kernels import F1, F2, PairKernelMatrices, pair_value_table
 from .ustat import TupleBudget, _tuple_columns
 
 
-@dataclass(frozen=True)
-class JackknifeEstimate:
-    sigma0_sq: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.sigma0_sq >= 0.0) or not math.isfinite(self.sigma0_sq):
-            raise fail("NONFINITE", f"sigma0_sq={self.sigma0_sq!r}")
+def _jackknife_finish(g: np.ndarray, n: int, m: int) -> float:
+    """sigma0_sq = (n - 1) / (n - m)^2 * sum_i g(i)^2; NONFINITE unless it is
+    finite and nonnegative."""
+    sigma0_sq = (n - 1) / (n - m) ** 2 * float(g @ g)
+    if not (sigma0_sq >= 0.0) or not math.isfinite(sigma0_sq):
+        raise fail("NONFINITE", f"sigma0_sq={sigma0_sq!r}")
+    return sigma0_sq
 
 
 def jackknife_brute(
     sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None
-) -> JackknifeEstimate:
+) -> float:
     """Literal enumeration of the jackknife display; O(n^4) and budget-capped.
 
     Runs ``brute_force_triple``'s tuple gather (see the module docstring),
@@ -129,24 +130,19 @@ def jackknife_brute(
     t0, t1, t2, _ = cols
     h = ax[t0, t1] * (ay[t0, t1] - ay[t0, t2])
     g = sum(np.bincount(t, h, minlength=n) for t in cols) / (4 * math.perm(n - 1, 3))
-    return JackknifeEstimate((n - 1) / (n - m) ** 2 * float(g @ g), n)
+    return _jackknife_finish(g, n, m)
 
 
-def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
-    """O(n^2) reduction of the jackknife display; equals the brute value to
-    1e-10. Allocates only length-n vectors."""
+def jackknife_fast(mats: PairKernelMatrices) -> float:
+    """The jackknife display in O(n) from the pair's O(n^2) sums; equals the
+    brute value to 1e-10. Reads no matrix and allocates only length-n
+    vectors."""
     n = mats.n
     m = mats.spec.m
     if n <= m:
         raise fail("TOO_SMALL", f"need n > {m}, got n={n}")
-    at = mats.a
-    bt = mats.b
-    r = mats.r
-    c = mats.c
-    u = np.einsum("ij,ij->i", at, bt)
+    r, c, u, p, q = mats.r, mats.c, mats.u, mats.p, mats.q
     t1 = float(u.sum())
-    p = at @ c
-    q = bt @ r
     sig3 = float(r @ c) - t1
     sig3_minus_i = sig3 - r * c - p - q + 3.0 * u
 
@@ -155,18 +151,15 @@ def jackknife_fast(mats: PairKernelMatrices) -> JackknifeEstimate:
     g3 = (r * c + p + q - 3.0 * u) / (4.0 * big_n * (big_n - 1)) + sig3_minus_i / (
         4.0 * big_n * (big_n - 1) * (big_n - 2)
     )
-    g = g1 - g3
-    sigma0_sq = (n - 1) / (n - m) ** 2 * float(g @ g)
-    return JackknifeEstimate(sigma0_sq, n)
+    return _jackknife_finish(g1 - g3, n, m)
 
 
-def _centered_row_stats(mat: np.ndarray, rows: np.ndarray):
+def _centered_row_stats(rows: np.ndarray, total: float, sq: float):
     """Row sums and sum of squares of a symmetric zero-diagonal kernel
-    matrix with row sums ``rows`` after subtracting its off-diagonal mean;
-    allocates no n x n temporary."""
-    n = mat.shape[0]
-    kappa = float(rows.sum()) / (n * (n - 1))
-    sq = float(np.einsum("ij,ij->", mat, mat))
+    matrix with row sums ``rows``, total ``total`` and squared norm ``sq``
+    after subtracting its off-diagonal mean."""
+    n = rows.shape[0]
+    kappa = total / (n * (n - 1))
     return rows - kappa * (n - 1), sq - kappa * kappa * n * (n - 1)
 
 
@@ -196,8 +189,8 @@ def permutation_sigma0_sq(mats: PairKernelMatrices) -> float:
     m = mats.spec.m
     if n < m:
         raise fail("TOO_SMALL", f"need n >= {m}, got n={n}")
-    ra, qa = _centered_row_stats(mats.a, mats.r)
-    rb, qb = _centered_row_stats(mats.b, mats.c)
+    ra, qa = _centered_row_stats(mats.r, mats.a_total, mats.a_sq)
+    rb, qb = _centered_row_stats(mats.c, mats.b_total, mats.b_sq)
 
     scale = 1.0 / (n * (n - 2))
     xd = -ra * scale / (n - 1)

@@ -29,7 +29,6 @@ from gammadep import (
     GammaResult,
     GammaSet,
     GammadepError,
-    JackknifeEstimate,
     KernelPairSpec,
     PermutationPlan,
     StatTriple,
@@ -455,8 +454,7 @@ class TestOracleCheckCommand:
 
     def test_broken_jackknife_detected(self):
         def broken_jack(mats):
-            real = __import__("gammadep").jackknife_fast(mats)
-            return JackknifeEstimate(real.sigma0_sq * 1.001, real.n)
+            return __import__("gammadep").jackknife_fast(mats) * 1.001
 
         doc = run_oracle_suite(seeds=6, kernels=("ghsic",), jack_fn=broken_jack)
         assert doc["status"] == "FAIL"
@@ -696,9 +694,6 @@ class TestInputContract:
     }
     # these scale the work, so every edge value must be refused
     WORK_SCALING = {"--B", "--reps", "--n", "--n-mc", "--seeds", "--threads"}
-    # the only warnings allowed: numpy overflows on the kappa * eps draws and
-    # on the distances between them, and the run still ends with a coded refusal
-    MAY_WARN = {("simulate", "--kappa", "1e308"): "NONFINITE", ("population", "--kappa", "1e308"): "NONFINITE"}
 
     CASES = [(command, action.option_strings[0]) for command in BASES for action in _options(command)]
 
@@ -715,9 +710,9 @@ class TestInputContract:
         return {}
 
     @staticmethod
-    def _run(argv, capsys, may_warn=False):
-        with warnings.catch_warnings(record=may_warn):
-            warnings.simplefilter("always" if may_warn else "error")
+    def _run(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(argv)
         out, err = capsys.readouterr()
         return code, out, err
@@ -765,14 +760,11 @@ class TestInputContract:
         allowed = {EXIT_OK, EXIT_USAGE, EXIT_DATA} | ({EXIT_ORACLE} if command == "oracle-check" else set())
         for values in cases:
             argv = self._with(base, option, values)
-            refusal = self.MAY_WARN.get((command, option, values[-1]))
-            code, out, err = self._run(argv, capsys, may_warn=refusal is not None)
+            code, out, err = self._run(argv, capsys)
             assert code in allowed, (argv, code, err)
             assert "Traceback" not in err, argv
             if code == EXIT_DATA:
                 assert err.startswith("error: "), (argv, err)
-            if refusal is not None:
-                assert code == EXIT_DATA and refusal in err, (argv, err)
             if option in self.WORK_SCALING and len(values) == 2:
                 assert code != EXIT_OK, argv
             if code != EXIT_OK or option in self.RESULT_INVARIANT:
@@ -784,6 +776,22 @@ class TestInputContract:
             doc = {k: v for k, v in json.loads(out).items() if k not in echoes}
             base_doc = {k: v for k, v in json.loads(base_out).items() if k not in echoes}
             assert doc != base_doc, f"{argv} changed only the echo of {option}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "m1", "--n", "6", "--d", "1", "--kappa", "1e308", "--seed", "1"],
+            ["population", "--model", "m1", "--d", "1", "--kappa", "1e308", "--seed", "1"],
+            ["population", "--model", "m1", "--d", "1", "--kernel", "dcov", "--kappa", "1e160", "--seed", "1"],
+        ],
+        ids=["simulate-draw", "population-draw", "population-dcov-value"],
+    )
+    def test_overflow_is_refused_without_a_warning(self, argv, capsys):
+        # kappa * eps, or a distance between the draws, past float range
+        code, out, err = self._run(argv, capsys)
+        assert code == EXIT_DATA, err
+        assert err.startswith("error: NONFINITE"), err
+        assert out == ""
 
 
 class TestModuleEntryPoint:

@@ -473,6 +473,19 @@ class TestBuildPairMatrices:
             PairKernelMatrices(mats.a, mats.b, KernelPairSpec.pcov())
         assert exc.value.code == "PAIR_KERNEL_REQUIRED"
 
+    @staticmethod
+    def _direct_sums(a, b):
+        """Every sum a ``PairKernelMatrices`` holds, reduced from its matrices."""
+        r, c = a.sum(axis=1), b.sum(axis=1)
+        vectors = {"r": r, "c": c, "u": np.einsum("ij,ij->i", a, b), "p": a @ c, "q": b @ r}
+        scalars = {
+            "a_total": float(r.sum()),
+            "b_total": float(c.sum()),
+            "a_sq": float(np.einsum("ij,ij->", a, a)),
+            "b_sq": float(np.einsum("ij,ij->", b, b)),
+        }
+        return vectors, scalars
+
     @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
     def test_row_sums_are_the_matrices_row_sums(self, kind):
         rng = np.random.default_rng(11)
@@ -480,12 +493,50 @@ class TestBuildPairMatrices:
         mats = build_pair_matrices(s, resolve_kernel_spec(kind, s))
         for mat, rows in ((mats.a, mats.r), (mats.b, mats.c)):
             assert rows.tobytes() == mat.sum(axis=1).tobytes()
-            assert not rows.flags.writeable
+        vectors, scalars = self._direct_sums(mats.a, mats.b)
+        for name, want in vectors.items():
+            got = getattr(mats, name)
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
             with pytest.raises(ValueError):
-                rows[0] = 0.0
+                got[0] = 0.0
+        for name, want in scalars.items():
+            assert type(getattr(mats, name)) is float and getattr(mats, name) == want, name
         with pytest.raises(AttributeError):
             mats.r = mats.c
         # a matrix pair built directly, not through build_pair_matrices, gets its own
-        shifted = PairKernelMatrices(mats.a + (1.0 - np.eye(40)), mats.b, mats.spec)
-        assert shifted.r.tobytes() == (mats.a + (1.0 - np.eye(40))).sum(axis=1).tobytes()
+        a = mats.a + (1.0 - np.eye(40))
+        shifted = PairKernelMatrices(a, mats.b, mats.spec)
+        assert shifted.r.tobytes() == a.sum(axis=1).tobytes()
         assert shifted.c is not mats.c and np.array_equal(shifted.c, mats.c)
+        vectors, scalars = self._direct_sums(a, mats.b)
+        for name, want in vectors.items():
+            assert getattr(shifted, name).tobytes() == want.tobytes(), name
+        for name, want in scalars.items():
+            assert getattr(shifted, name) == want, name
+        assert shifted.a_total != mats.a_total and shifted.a_sq != mats.a_sq
+        assert not np.array_equal(shifted.p, mats.p)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_nonfinite_entry_is_refused(self, bad):
+        rng = np.random.default_rng(12)
+        s = validate_sample(rng.standard_normal((8, 2)), rng.standard_normal((8, 2)))
+        mats = build_pair_matrices(s, KernelPairSpec.dcov())
+        for name in ("a", "b"):
+            mat = (mats.a if name == "a" else mats.b).copy()
+            mat[2, 5] = mat[5, 2] = bad
+            pair = (mat, mats.b) if name == "a" else (mats.a, mat)
+            with pytest.raises(GammadepError) as exc:
+                PairKernelMatrices(*pair, mats.spec)
+            assert exc.value.code == "NONFINITE", name
+
+    def test_an_overflowing_distance_is_refused_without_a_warning(self):
+        # finite rows whose differences overflow float64 give inf distances
+        x = np.array([[-1e308], [1e308], [0.0], [1.0], [2.0]])
+        s = validate_sample(x, np.arange(5.0).reshape(-1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(pairwise_dcov(x)).any()
+            with pytest.raises(GammadepError) as exc:
+                build_pair_matrices(s, KernelPairSpec.dcov())
+        assert exc.value.code == "NONFINITE"

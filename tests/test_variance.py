@@ -35,15 +35,15 @@ class TestJackknifeBrute:
     def test_constant_y_is_exactly_zero(self):
         s = validate_sample(np.random.default_rng(0).standard_normal((8, 2)), np.zeros((8, 1)))
         for spec in (KernelPairSpec.dcov(), KernelPairSpec.ghsic(1.0, 1.0)):
-            assert jackknife_brute(s, spec).sigma0_sq == 0.0
+            assert jackknife_brute(s, spec) == 0.0
 
     def test_positive_and_deterministic(self):
         rng = np.random.default_rng(1)
         s = make_sample(rng, 8)
         a = jackknife_brute(s, KernelPairSpec.dcov())
         b = jackknife_brute(s, KernelPairSpec.dcov())
-        assert a.sigma0_sq > 0.0
-        assert a.sigma0_sq == b.sigma0_sq
+        assert a > 0.0
+        assert a == b
 
     def test_joint_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -52,7 +52,7 @@ class TestJackknifeBrute:
         sp = validate_sample(np.array(s.x)[perm], np.array(s.y)[perm])
         a = jackknife_brute(s, KernelPairSpec.dcov())
         b = jackknife_brute(sp, KernelPairSpec.dcov())
-        assert a.sigma0_sq == pytest.approx(b.sigma0_sq, abs=1e-12)
+        assert a == pytest.approx(b, abs=1e-12)
 
     def test_n_must_exceed_arity(self):
         s = make_sample(np.random.default_rng(3), 4)
@@ -85,7 +85,7 @@ class TestJackknifeBrute:
                 monkeypatch.setattr(mod, "build_pair_matrices", refuse)
         s = make_sample(np.random.default_rng(11), 9, dependent=True)
         spec = KernelPairSpec.dcov() if kind == "dcov" else KernelPairSpec.ghsic(1.0, 1.5)
-        assert jackknife_brute(s, spec).sigma0_sq > 0.0
+        assert jackknife_brute(s, spec) > 0.0
 
 
 class TestJackknifeFast:
@@ -95,7 +95,7 @@ class TestJackknifeFast:
         spec = KernelPairSpec.dcov()
         jb = jackknife_brute(s, spec)
         jf = jackknife_fast(build_pair_matrices(s, spec))
-        assert jf.sigma0_sq == pytest.approx(jb.sigma0_sq, abs=1e-10)
+        assert jf == pytest.approx(jb, abs=1e-10)
 
     def test_matches_brute_ghsic(self):
         rng = np.random.default_rng(7)
@@ -103,7 +103,7 @@ class TestJackknifeFast:
         spec = KernelPairSpec.ghsic(median_bandwidth(s.x), median_bandwidth(s.y))
         jb = jackknife_brute(s, spec)
         jf = jackknife_fast(build_pair_matrices(s, spec))
-        assert jf.sigma0_sq == pytest.approx(jb.sigma0_sq, abs=1e-10)
+        assert jf == pytest.approx(jb, abs=1e-10)
 
     def test_equivalence_sweep(self):
         rng = np.random.default_rng(8)
@@ -113,19 +113,19 @@ class TestJackknifeFast:
             spec = KernelPairSpec.dcov()
             jb = jackknife_brute(s, spec)
             jf = jackknife_fast(build_pair_matrices(s, spec))
-            assert jf.sigma0_sq == pytest.approx(jb.sigma0_sq, abs=1e-10)
+            assert jf == pytest.approx(jb, abs=1e-10)
 
     def test_constant_y_exact_zero(self):
         s = validate_sample(np.random.default_rng(9).standard_normal((10, 2)), np.zeros((10, 1)))
         jf = jackknife_fast(build_pair_matrices(s, KernelPairSpec.dcov()))
-        assert jf.sigma0_sq == 0.0
+        assert jf == 0.0
 
     def test_nonnegative_always(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             s = make_sample(rng, 7, dependent=True)
             jf = jackknife_fast(build_pair_matrices(s, KernelPairSpec.dcov()))
-            assert jf.sigma0_sq >= 0.0
+            assert jf >= 0.0
 
     def test_too_small(self):
         s = make_sample(np.random.default_rng(11), 4)
@@ -198,6 +198,30 @@ class TestPermutationVariance:
         assert exc.value.code == "TOO_SMALL"
 
 
+
+class TestReadsThePairsSums:
+    """Both closed forms read the sums a ``PairKernelMatrices`` holds, not
+    its matrices, and return a plain float."""
+
+    @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
+    def test_zeroed_matrices_change_nothing(self, kind):
+        s = make_sample(np.random.default_rng(16), 30, dependent=True)
+        mats = build_pair_matrices(s, spec_for(kind, s))
+        jack, perm = jackknife_fast(mats), permutation_sigma0_sq(mats)
+        zeros = np.zeros_like(mats.a)
+        object.__setattr__(mats, "a", zeros)
+        object.__setattr__(mats, "b", zeros)
+        assert jackknife_fast(mats) == jack
+        assert permutation_sigma0_sq(mats) == perm
+        assert jack > 0.0 and perm > 0.0
+
+    def test_both_jackknifes_return_a_float(self):
+        s = make_sample(np.random.default_rng(17), 8, dependent=True)
+        spec = KernelPairSpec.dcov()
+        assert type(jackknife_fast(build_pair_matrices(s, spec))) is float
+        assert type(jackknife_brute(s, spec)) is float
+        assert type(permutation_sigma0_sq(build_pair_matrices(s, spec))) is float
+
 class TestConsistencySmoke:
     def test_dispersion_shrinks_with_n(self):
         # coefficient of variation of the estimate across replications
@@ -210,11 +234,7 @@ class TestConsistencySmoke:
             for _ in range(300):
                 x = rng.standard_normal((n, 3))
                 y = rng.standard_normal((n, 2))
-                vals.append(
-                    jackknife_fast(
-                        build_pair_matrices(validate_sample(x, y), spec)
-                    ).sigma0_sq
-                )
+                vals.append(jackknife_fast(build_pair_matrices(validate_sample(x, y), spec)))
             vals = np.array(vals)
             cvs.append(vals.std(ddof=1) / vals.mean())
         assert cvs[0] > cvs[1] > cvs[2]
