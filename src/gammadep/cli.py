@@ -93,7 +93,9 @@ def read_csv(path: str):
 
 def parse_columns(selector: str, header) -> list:
     """Column selector: a half-open index range "a..b" or a comma-separated
-    list of header names (a list of all-integer tokens is taken as indices)."""
+    list of header names (a list of all-integer tokens is taken as indices).
+    A name that more than one column carries is refused with
+    AMBIGUOUS_COLUMN; index and range selectors reach every column."""
     selector = selector.strip()
     if ".." in selector:
         lo_s, hi_s = selector.split("..", 1)
@@ -115,9 +117,12 @@ def parse_columns(selector: str, header) -> list:
         return idx
     out = []
     for t in tokens:
-        if t not in header:
+        hits = [i for i, name in enumerate(header) if name == t]
+        if not hits:
             raise fail("COLUMN_NOT_FOUND", f"column {t!r} not in header")
-        out.append(header.index(t))
+        if len(hits) > 1:
+            raise fail("AMBIGUOUS_COLUMN", f"column {t!r} names columns {hits}; select one by index")
+        out.append(hits[0])
     return out
 
 

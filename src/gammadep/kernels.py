@@ -14,23 +14,34 @@ therefore holds its output plus one tile, and does about half the subtract
 and multiply-add work of a full n x n pass. ``median_bandwidth`` takes its
 median from that one matrix in place.
 
-``pair_peak_bytes`` models a pair test's peak: A~ and B~ plus the tile and
-the two live T1 gather blocks. ``build_pair_matrices`` and the ghsic median
-pass in ``resolve_kernel_spec`` compare it with MemAvailable before their
-first n x n allocation and refuse a run that cannot fit with TOO_LARGE.
+``pair_peak_bytes`` models a pair test's peak: the dense A~ with its packed
+row blocks, then those blocks with B~, plus the largest of the tile, the
+rebuild buffer and the live T1 gather blocks. ``build_pair_matrices`` and
+the ghsic median pass in ``resolve_kernel_spec`` compare it with
+MemAvailable before their first n x n allocation and refuse a run that
+cannot fit with TOO_LARGE.
 
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
-therefore zeroes both diagonals once and freezes the arrays: a
-``PairKernelMatrices`` holds A~ and B~, the zero-diagonal matrices that
-``ustat`` and ``variance`` share without copying. It also takes, once and
-on construction, every O(n^2) reduction of the pair that a closed form
-reads: the off-diagonal row sums r and c, u_i = sum_j a_ij b_ij,
-p = A~ c and q = B~ r, the totals A.. = sum r and B.. = sum c, and the
-squared norms ||A~||^2 and ||B~||^2. The triple reads r, c and the totals;
-the jackknife display and the permutation variance read only these sums,
-never a matrix. The only other reduction of A~ and B~ is the triple's T1
-gather. Constructing one for a kernel that is not pair-dependent raises
+therefore zeroes both diagonals once and freezes the arrays. A~ is read
+after construction only by the T1 walk in ``ustat``, and only in its
+upper-triangle row blocks A~[lo:hi, lo:] (``walk_row_blocks`` owns that
+schedule). So ``pack_rows`` takes the sums that read A~ alone (its row sums
+r, total A.. and squared norm ||A~||^2) from the dense matrix, copies each
+walk block into its own read-only array, and the dense A~ is dropped
+before B~ is allocated: a pair test peaks at about 1.5 n x n instead of 2.
+For n <= 181 the walk is one block, which is A~ itself, with no copy.
+
+A ``PairKernelMatrices`` holds the packed A~ and the dense B~ that ``ustat``
+and ``variance`` share without copying. It also takes, once and on
+construction, every other O(n^2) reduction of the pair that a closed form
+reads: the row sums c, u_i = sum_j a_ij b_ij, p = A~ c and q = B~ r, the
+total B.. = sum c and the squared norm ||B~||^2. u and p read A~ in row
+chunks rebuilt from the blocks into one reused buffer (for a single block,
+straight from A~). The triple reads r, c and the totals; the jackknife
+display and the permutation variance read only these sums, never a matrix.
+The only other reduction of A~ and B~ is the triple's T1 gather.
+Constructing one for a kernel that is not pair-dependent raises
 PAIR_KERNEL_REQUIRED, so the fast paths that take a ``PairKernelMatrices``
 need no check of their own, and one whose row sums are not finite (a
 distance past float range is inf) raises NONFINITE.
@@ -63,6 +74,12 @@ _TILE_ELEMS = 1 << 16
 # L2, and a single block for every n <= 181.
 _GATHER_ELEMS = 1 << 15
 
+# OpenBLAS's x86-64 dgemv kernels reduce the rows of a row-major matrix in
+# groups of 4, the last n % 4 rows by another kernel. So p = A~ c, taken on
+# rebuilt rows in slices of 4 from a multiple of 4, sums every entry in the
+# order of one single-threaded ``a @ c`` on the dense A~.
+_GEMV_ROWS = 4
+
 # Read, never written, by the memory guard; absent outside Linux.
 _MEMINFO = "/proc/meminfo"
 
@@ -72,22 +89,54 @@ def _tile_side(d: int) -> int:
     return max(2, math.isqrt(_TILE_ELEMS // max(1, d)))
 
 
+def walk_row_blocks(n: int) -> list:
+    """The row blocks [lo, hi) of the T1 walk, the one schedule that both
+    ``pack_rows`` and ``ustat._t1`` follow.
+
+    A block from row lo holds ``2 * _GATHER_ELEMS // (2n - lo)`` rows, so its
+    two gathered blocks (rows x n, then rows x (n - lo)) together hold at
+    most ``2 * _GATHER_ELEMS`` elements (or a single row, once 2n - lo
+    exceeds that), and the rows grow as the walk narrows: 53 blocks at
+    n = 1500 where ``_GATHER_ELEMS // n`` rows give 72. For n <= 181 there
+    is one block.
+    """
+    spans = []
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, 2 * _GATHER_ELEMS // (2 * n - lo)))
+        spans.append((lo, hi))
+        lo = hi
+    return spans
+
+
+def _rebuild_rows(n: int) -> int:
+    """Rows of the buffer that A~'s rows are rebuilt into: a multiple of
+    ``_GEMV_ROWS`` within one distance tile's elements, at least
+    ``_GEMV_ROWS`` and at most n."""
+    return min(n, max(_GEMV_ROWS, _TILE_ELEMS // n // _GEMV_ROWS * _GEMV_ROWS))
+
+
 def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
     """Byte model of the peak a pair-kernel test allocates at n rows.
 
-    A~ and B~ (2 x 8 n^2 bytes), plus the distance tile of the wider side
-    (d columns; 512 KB for d <= 16384), plus the two live T1 gather blocks
-    per permutation worker: the rows x n block of gathered rows and the
-    rows x (n - lo) block of its columns from lo on, which together hold at
-    most 2 x 256 KB (or two rows of n). ``workers`` defaults to,
-    and is bounded by, ``os.cpu_count()``. The tile and the gather blocks
-    are never live together, so the model is an upper bound, within a few
-    percent of the traced peak once the two matrices dominate.
+    The dense A~ (8 n^2 bytes) while its walk blocks are copied out, then
+    those blocks while B~ is built and read: both phases hold 8 (n^2 + P)
+    bytes, P the elements of the blocks (about n^2 / 2, and n^2 for
+    n <= 181, where the one block is A~ itself). On top of that comes the
+    largest of what is live in turn: the distance tile of the wider side (d
+    columns; 512 KB for d <= 16384), the buffer that u and p rebuild A~'s
+    rows into (at most one tile, or four rows of n), and the two live T1
+    gather blocks per permutation worker (together at most 2 x 256 KB, or
+    two rows of n). ``workers`` defaults to, and is bounded by,
+    ``os.cpu_count()``. Within a few percent of the traced peak once the
+    matrices dominate.
     """
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else min(workers, cpus)
+    packed = sum((hi - lo) * (n - lo) for lo, hi in walk_row_blocks(n))
     tile = min(n, _tile_side(d)) ** 2 * d
-    return 8 * (2 * n * n + tile + 2 * workers * max(n, _GATHER_ELEMS))
+    extra = max(tile, _rebuild_rows(n) * n, 2 * workers * max(n, _GATHER_ELEMS))
+    return 8 * (n * n + packed + extra)
 
 
 def _mem_available() -> Optional[int]:
@@ -110,7 +159,7 @@ def _check_fits(sample: Sample) -> None:
     if avail is not None and need > avail:
         raise fail(
             "TOO_LARGE",
-            f"n={sample.n} needs about {need / 2**20:.0f} MB for two n x n matrices, "
+            f"n={sample.n} needs about {need / 2**20:.0f} MB for its kernel matrices, "
             f"{avail / 2**20:.0f} MB available",
         )
 
@@ -191,7 +240,9 @@ def median_bandwidth(matrix) -> float:
     bit for bit, with no mask or copy of the matrix.
 
     Raises DEGENERATE when every pair of rows coincides (no positive
-    distance exists to take a median of).
+    distance exists to take a median of), and NONFINITE when the median is
+    not finite (rows whose differences pass the float range give inf
+    distances).
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim == 1:
@@ -206,7 +257,12 @@ def median_bandwidth(matrix) -> float:
     # ascending: flat.size - positive zeros, then each positive value twice
     hi = flat.size - positive // 2
     flat.partition((hi - 1, hi))
-    return float((flat[hi - 1] + flat[hi]) / 2.0)
+    # two middle distances near the float limit overflow their sum
+    with np.errstate(over="ignore"):
+        median = float((flat[hi - 1] + flat[hi]) / 2.0)
+    if not math.isfinite(median):
+        raise fail("NONFINITE", f"median distance {median!r} is not finite")
+    return median
 
 
 def kernel_values(spec: KernelPairSpec, which: str, z) -> np.ndarray:
@@ -242,13 +298,76 @@ def kernel_values(spec: KernelPairSpec, which: str, z) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PairKernelMatrices:
-    """A~ and B~: the n x n matrices of f1 on X pairs and f2 on Y pairs,
-    with zero diagonals, and the O(n^2) sums every closed form reads:
-    the row sums r and c, u_i = sum_j a_ij b_ij, p = A~ c and q = B~ r (all
-    read-only), the totals A.. and B.., and the squared norms of A~ and B~."""
+class PackedRows:
+    """A~ as the T1 walk reads it: for each block [lo, hi) of
+    ``walk_row_blocks(n)``, a read-only copy of A~[lo:hi, lo:], in walk
+    order, plus the sums that read A~ alone, taken from the dense matrix
+    before it was dropped: the row sums r (read-only), the total A.. and the
+    squared norm ||A~||^2. For n <= 181 the one block is A~ itself. Built
+    only by ``pack_rows``."""
 
-    a: np.ndarray
+    blocks: tuple
+    r: np.ndarray
+    total: float
+    sq: float
+
+    @property
+    def n(self) -> int:
+        return self.r.shape[0]
+
+    def rows(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A~[lo:hi, :], rebuilt from the blocks into ``out`` (a new array
+        if None). A row i of block [b0, b1) holds A~[i, b0:]; its columns
+        before b0 are, by symmetry, columns i - b0' of the earlier blocks."""
+        n = self.n
+        if out is None:
+            out = np.empty((hi - lo, n))
+        for blk in self.blocks:
+            h, w = blk.shape
+            b0 = n - w
+            if b0 >= hi:
+                break
+            b1 = b0 + h
+            if lo < b1:
+                i0, i1 = max(lo, b0), min(hi, b1)
+                out[i0 - lo : i1 - lo, b0:] = blk[i0 - b0 : i1 - b0]
+            if hi > b1:
+                i0 = max(lo, b1)
+                out[i0 - lo :, b0:b1] = blk[:, i0 - b0 : hi - b0].T
+        return out
+
+
+def pack_rows(a: np.ndarray) -> PackedRows:
+    """Pack a zero-diagonal symmetric A~ into the walk's row blocks.
+
+    r, A.. and ||A~||^2 are taken from the dense A~ first. Each block of
+    two or more is a copy (a view, even of contiguous full rows, would keep
+    the whole of A~ alive); the one block for n <= 181 is a read-only view
+    of A~. Raises BAD_KERNEL for a nonzero diagonal.
+    """
+    if np.any(np.diagonal(a) != 0.0):
+        raise fail("BAD_KERNEL", "a must have a zero diagonal")
+    r = a.sum(axis=1)
+    sq = float(np.einsum("ij,ij->", a, a))
+    spans = walk_row_blocks(a.shape[0])
+    if len(spans) == 1:
+        blocks = (a.view(),)
+    else:
+        blocks = tuple(a[lo:hi, lo:].copy() for lo, hi in spans)
+    for arr in (r,) + blocks:
+        arr.setflags(write=False)
+    return PackedRows(blocks, r, float(r.sum()), sq)
+
+
+@dataclass(frozen=True)
+class PairKernelMatrices:
+    """A~ packed into the T1 walk's row blocks (``PackedRows``) and the dense
+    B~: f1 on X pairs and f2 on Y pairs, with zero diagonals. It holds the
+    O(n^2) sums every closed form reads: the row sums r and c,
+    u_i = sum_j a_ij b_ij, p = A~ c and q = B~ r (all read-only), the
+    totals A.. and B.., and the squared norms of A~ and B~."""
+
+    a: PackedRows
     b: np.ndarray
     spec: KernelPairSpec
     r: np.ndarray = field(init=False, compare=False, repr=False)
@@ -265,45 +384,74 @@ class PairKernelMatrices:
         if not self.spec.is_pair_dependent:
             raise fail("PAIR_KERNEL_REQUIRED", f"{self.spec.id} has no pair fast path")
         a, b = self.a, self.b
-        for name, mat in (("a", a), ("b", b)):
-            if np.any(np.diagonal(mat) != 0.0):
-                raise fail("BAD_KERNEL", f"{name} must have a zero diagonal")
-        r, c = a.sum(axis=1), b.sum(axis=1)
+        if np.any(np.diagonal(b) != 0.0):
+            raise fail("BAD_KERNEL", "b must have a zero diagonal")
+        r, c = a.r, b.sum(axis=1)
         # an entry past float range (an inf distance) leaves its row sum inf or nan
         if not (np.isfinite(r).all() and np.isfinite(c).all()):
             raise fail("NONFINITE", "a kernel matrix has a row sum that is not finite")
-        u = np.einsum("ij,ij->i", a, b)
-        for name, vec in (("r", r), ("c", c), ("u", u), ("p", a @ c), ("q", b @ r)):
+        u, p = _u_and_p(a, b, c)
+        for name, vec in (("r", r), ("c", c), ("u", u), ("p", p), ("q", b @ r)):
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
-        object.__setattr__(self, "a_total", float(r.sum()))
+        object.__setattr__(self, "a_total", a.total)
         object.__setattr__(self, "b_total", float(c.sum()))
-        object.__setattr__(self, "a_sq", float(np.einsum("ij,ij->", a, a)))
+        object.__setattr__(self, "a_sq", a.sq)
         object.__setattr__(self, "b_sq", float(np.einsum("ij,ij->", b, b)))
 
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.b.shape[0]
+
+
+def _u_and_p(a: PackedRows, b: np.ndarray, c: np.ndarray):
+    """u = einsum("ij,ij->i", A~, B~) and p = A~ c.
+
+    With one block these are the dense expressions on A~ itself. Otherwise
+    A~'s rows are rebuilt, a chunk at a time, into one buffer whose chunks
+    start at multiples of ``_GEMV_ROWS``: u is the same row-wise einsum, and
+    p is taken in slices of ``_GEMV_ROWS`` rows, which no BLAS thread split
+    can divide, so each entry is summed as by the dense ``a @ c`` on one
+    BLAS thread.
+    """
+    if len(a.blocks) == 1:
+        (dense,) = a.blocks
+        return np.einsum("ij,ij->i", dense, b), dense @ c
+    n = a.n
+    u, p = np.empty(n), np.empty(n)
+    step = _rebuild_rows(n)
+    buf = np.empty((step, n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        rows = a.rows(lo, hi, buf[: hi - lo])
+        np.einsum("ij,ij->i", rows, b[lo:hi], out=u[lo:hi])
+        for g in range(lo, hi, _GEMV_ROWS):
+            np.matmul(rows[g - lo : g - lo + _GEMV_ROWS], c, out=p[g : g + _GEMV_ROWS])
+    return u, p
+
+
+def _kernel_matrix(spec: KernelPairSpec, data, side: int) -> np.ndarray:
+    """Read-only zero-diagonal n x n kernel matrix of one side (0 for x, 1
+    for y) of the pair; ghsic's exp(0) = 1 diagonal is zeroed here, dcov's
+    is already 0."""
+    mat = pairwise_dcov(data) if spec.id == DCOV else pairwise_ghsic(data, spec.bandwidths[side])
+    np.fill_diagonal(mat, 0.0)
+    mat.setflags(write=False)
+    return mat
 
 
 def build_pair_matrices(sample: Sample, spec: KernelPairSpec) -> PairKernelMatrices:
-    """Read-only A~ and B~ for a pair-dependent kernel (dcov or ghsic).
+    """Packed A~ and read-only B~ for a pair-dependent kernel (dcov or ghsic).
 
-    ghsic's exp(0) = 1 diagonal is zeroed here; dcov's is already 0.
+    A~ is packed and its dense matrix dropped before B~ is allocated, so the
+    two n x n matrices are never live together (for n <= 181 the packed A~
+    is A~ itself).
     """
     if not spec.is_pair_dependent:
         raise fail("PAIR_KERNEL_REQUIRED", f"{spec.id} is not pair-dependent")
     _check_fits(sample)
-    if spec.id == DCOV:
-        a = pairwise_dcov(sample.x)
-        b = pairwise_dcov(sample.y)
-    else:
-        a = pairwise_ghsic(sample.x, spec.bandwidths[0])
-        b = pairwise_ghsic(sample.y, spec.bandwidths[1])
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(b, 0.0)
-    a.setflags(write=False)
-    b.setflags(write=False)
+    a = pack_rows(_kernel_matrix(spec, sample.x, 0))
+    b = _kernel_matrix(spec, sample.y, 1)
     return PairKernelMatrices(a, b, spec)
 
 

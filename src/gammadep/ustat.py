@@ -15,7 +15,8 @@ Two routes with very different cost profiles:
   exists and is wired into CI.
 
 Closed forms, with A~ and B~ the zero-diagonal kernel matrices of a
-``PairKernelMatrices`` (read in place, not copied), T1 = sum_{i!=j} a_ij b_ij,
+``PairKernelMatrices`` (A~ held as the upper-triangle row blocks of the T1
+walk, B~ dense; both read in place, not copied), T1 = sum_{i!=j} a_ij b_ij,
 r_i / c_i the off-diagonal row sums and A.. / B.. their totals (the
 ``PairKernelMatrices`` fields r, c, a_total and b_total, taken once when it
 is built; ``PairStatCore`` keeps no sums of its own), and
@@ -34,10 +35,12 @@ Permuting the y rows by pi changes only T1 and sum_i r_i c_pi(i). T1(pi) =
 <A~, B~[pi][:, pi]> is a row-blocked gather over the upper triangle
 (``_t1``): both matrices are symmetric, so each block of rows [lo, hi) of
 B~[pi] is gathered only in the columns from lo on (a rows x n block, then a
-rows x (n - lo) block, together at most 512 KB) and reduced against the
-matching part of A~ by einsum, the off-diagonal part counted twice. A
-permuted triple builds no n x n temporary. The unpermuted T1 is the same
-gather under the identity permutation.
+rows x (n - lo) block, together at most 512 KB) and reduced by einsum
+against the stored block A~[lo:hi, lo:], the off-diagonal part counted
+twice. The blocks follow ``kernels.walk_row_blocks``, the schedule
+``kernels.pack_rows`` stored them by, so the walk reads no part of A~ that
+was not kept. A permuted triple builds no n x n temporary. The unpermuted
+T1 is the same gather under the identity permutation.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ import numpy as np
 from .data_model import KernelPairSpec, Sample, StatTriple
 from .errors import fail
 from .kernels import (
-    _GATHER_ELEMS,
     F1,
     F2,
     PairKernelMatrices,
@@ -131,13 +133,15 @@ def brute_force_triple(
     return StatTriple(s1 / count, s2 / count, s3 / count)
 
 
-def _t1(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
-    """T1 = <A~, B~[perm][:, perm]>.
+def _t1(blocks: tuple, b: np.ndarray, perm: np.ndarray) -> float:
+    """T1 = <A~, B~[perm][:, perm]>, with A~ given as its stored walk blocks
+    (``PackedRows.blocks``).
 
     A~ and the permuted B~ are both symmetric, so only the upper triangle of
-    blocks is walked. For each block of rows [lo, hi) (h = hi - lo) the
-    columns from lo on are gathered (rows, then columns: a rows x n block,
-    then a rows x (n - lo) block, the only two live at once), and
+    blocks is walked. The stored block of rows [lo, hi) (h = hi - lo) is
+    A~[lo:hi, lo:], so lo = n minus its width. For each, the columns from lo
+    on of the permuted B~ are gathered (rows, then columns: a rows x n
+    block, then a rows x (n - lo) block, the only two live at once), and
 
         T1 = sum over blocks of 2 <blk[:, h:], A~[lo:hi, hi:]>
                               + <blk[:, :h], A~[lo:hi, lo:hi]>.
@@ -145,28 +149,22 @@ def _t1(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
     Each term is one einsum reduction that builds no product block; einsum,
     unlike a BLAS dot, sums in an order fixed by the operands' shapes alone,
     so a permutation that leaves B~ unchanged (the identity, or swapping two
-    identical y rows) reproduces the unpermuted T1 bit for bit.
-
-    A block from row lo holds ``2 * _GATHER_ELEMS // (2n - lo)`` rows, so its
-    two gathered blocks together hold at most ``2 * _GATHER_ELEMS`` elements
-    (or a single row, once 2n - lo exceeds that) and the rows grow as the
-    walk narrows: 53 blocks at n = 1500 where ``_GATHER_ELEMS // n`` rows
-    give 72. Each block's numpy calls hold the GIL while they set up, so
-    with two ``--threads`` workers fewer blocks mean fewer waits for it.
-    For n <= 181 there is one block and one reduction.
+    identical y rows) reproduces the unpermuted T1 bit for bit. The row
+    counts of ``kernels.walk_row_blocks`` keep the two gathered blocks
+    within 512 KB; each block's numpy calls hold the GIL while they set
+    up, so with two ``--threads`` workers fewer blocks mean fewer waits for
+    it. For n <= 181 there is one block, A~ itself, and one reduction.
     """
-    n = a.shape[0]
+    n = b.shape[0]
     total = 0.0
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + max(1, 2 * _GATHER_ELEMS // (2 * n - lo)))
-        h = hi - lo
-        blk = b.take(perm[lo:hi], axis=0).take(perm[lo:], axis=1)
-        if hi < n:
-            total += 2.0 * float(np.einsum("ij,ij->", blk[:, h:], a[lo:hi, hi:]))
-        total += float(np.einsum("ij,ij->", blk[:, :h], a[lo:hi, lo:hi]))
+    for a_blk in blocks:
+        h, w = a_blk.shape
+        lo = n - w
+        blk = b.take(perm[lo : lo + h], axis=0).take(perm[lo:], axis=1)
+        if h < w:
+            total += 2.0 * float(np.einsum("ij,ij->", blk[:, h:], a_blk[:, h:]))
+        total += float(np.einsum("ij,ij->", blk[:, :h], a_blk[:, :h]))
         del blk  # free this block before the next one is gathered
-        lo = hi
     return total
 
 
@@ -177,8 +175,9 @@ class PairStatCore:
     totals survive a permutation of the y rows: permuting y by pi turns
     B~ into B~[pi][:, pi], whose row sums are just c[pi], so a
     permuted triple is one row-blocked gather of the upper triangle of
-    B~[pi][:, pi] against A~ (``_t1``: a rows x n and a rows x (n - lo)
-    block, together at most 512 KB, live at a time) plus O(n) reductions.
+    B~[pi][:, pi] against A~'s stored row blocks (``_t1``: a rows x n and a
+    rows x (n - lo) block, together at most 512 KB, live at a time) plus
+    O(n) reductions.
     """
 
     def __init__(self, mats: PairKernelMatrices):
@@ -194,7 +193,7 @@ class PairStatCore:
         n = self.n
         if perm is None:
             perm = np.arange(n)
-        t1 = _t1(self.mats.a, self.mats.b, perm)
+        t1 = _t1(self.mats.a.blocks, self.mats.b, perm)
         sig3 = float(self.mats.r @ self.mats.c[perm]) - t1
         s1 = t1 / (n * (n - 1))
         s3 = sig3 / (n * (n - 1) * (n - 2))

@@ -191,6 +191,17 @@ class TestCsvIngestion:
             parse_columns("zz", ["a", "b"])
         assert exc.value.code == "COLUMN_NOT_FOUND"
 
+    def test_duplicate_name_is_refused(self):
+        header = ["a", "a", "b"]
+        for selector in ("a", "b,a"):
+            with pytest.raises(GammadepError) as exc:
+                parse_columns(selector, header)
+            assert exc.value.code == "AMBIGUOUS_COLUMN"
+        # a unique name, indices and ranges still select on such a header
+        assert parse_columns("b", header) == [2]
+        assert parse_columns("1,0", header) == [1, 0]
+        assert parse_columns("0..2", header) == [0, 1]
+
 
 class TestTestCommand:
     def test_json_shape(self, csv_file, tmp_path, capsys):
@@ -276,6 +287,18 @@ class TestTestCommand:
             assert entry["p_perm"] == 1.0
         for entry in doc["combined"].values():
             assert entry["p_perm"] == 1.0
+
+    def test_duplicate_header_name_is_data_error(self, tmp_path, capsys):
+        data = np.random.default_rng(11).standard_normal((20, 3))
+        path = tmp_path / "dup.csv"
+        rows = "\n".join(",".join(f"{v!r}" for v in row) for row in data.tolist())
+        path.write_text("a,a,b\n" + rows + "\n", encoding="utf-8")
+        base = ["test", "--input", str(path), "--B", "9", "--seed", "1", "--reproducible"]
+        code = main(base + ["--x-cols", "a", "--y-cols", "b"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert "AMBIGUOUS_COLUMN" in captured.err and captured.out == ""
+        assert main(base + ["--x-cols", "1", "--y-cols", "2"]) == EXIT_OK
 
     def test_column_not_found_is_data_error(self, csv_file, capsys):
         code = main(
@@ -477,7 +500,7 @@ class TestOracleCheckCommand:
             sums = []
 
             def spy(mats):
-                sums.append(float(mats.a.sum()))
+                sums.append(mats.a_total)
                 return __import__("gammadep").fast_triple_pair(mats)
 
             run_oracle_suite(seeds=4, kernels=("dcov",), triple_fn=spy, seed=seed)
@@ -783,11 +806,14 @@ class TestInputContract:
             ["simulate", "--model", "m1", "--n", "6", "--d", "1", "--kappa", "1e308", "--seed", "1"],
             ["population", "--model", "m1", "--d", "1", "--kappa", "1e308", "--seed", "1"],
             ["population", "--model", "m1", "--d", "1", "--kernel", "dcov", "--kappa", "1e160", "--seed", "1"],
+            ["simulate", "--model", "m3", "--d", "2", "--kappa", "1e200", "--kernel", "ghsic", "--n", "20",
+             "--reps", "100", "--B", "9", "--seed", "1"],
         ],
-        ids=["simulate-draw", "population-draw", "population-dcov-value"],
+        ids=["simulate-draw", "population-draw", "population-dcov-value", "simulate-ghsic-median"],
     )
     def test_overflow_is_refused_without_a_warning(self, argv, capsys):
-        # kappa * eps, or a distance between the draws, past float range
+        # kappa * eps, a distance between the draws, or the ghsic median
+        # distance, past float range
         code, out, err = self._run(argv, capsys)
         assert code == EXIT_DATA, err
         assert err.startswith("error: NONFINITE"), err

@@ -527,12 +527,14 @@ def peak_nxn(fn, n):
 
 
 class TestMemory:
-    # The shared zero-diagonal pair: a test holds A~ and B~, and on top of
-    # them one distance tile while B~ is built or two row blocks of the T1
-    # gather in a permuted triple; the jackknife and the median bandwidth
-    # build no n x n temporary. The tile (512 KB) and the two gather blocks
-    # (256 KB each) do not grow with n; at this n each is 0.18 n x n (at
-    # n = 200 the gather blocks alone are 1.6).
+    # The shared zero-diagonal pair: a test holds A~'s upper-triangle walk
+    # blocks (0.56 n x n at this n) and B~, and on top of them one distance
+    # tile while B~ is built or two row blocks of the T1 gather in a
+    # permuted triple; the dense A~ is dropped, once packed, before B~ is
+    # built. The jackknife and the median bandwidth build no n x n
+    # temporary. The tile (512 KB) and the two gather blocks (256 KB each)
+    # do not grow with n; at this n each is 0.18 n x n (at n = 200 the
+    # gather blocks alone are 1.6).
     N = 600
 
     def sample(self, d=1, seed=31):
@@ -546,7 +548,7 @@ class TestMemory:
             plan = PermutationPlan(20, 3)
             permutation_test(s, KernelPairSpec.dcov(), GammaSet.default(), plan, threads=1)
 
-        assert peak_nxn(run, self.N) <= 2.5
+        assert peak_nxn(run, self.N) <= 1.85
 
     @pytest.mark.parametrize(
         "spec, d",
@@ -555,7 +557,7 @@ class TestMemory:
     )
     def test_build_pair_matrices_holds_two_matrices_and_a_tile(self, spec, d):
         s = self.sample(d, seed=33)
-        assert peak_nxn(lambda: build_pair_matrices(s, spec), self.N) <= 2.25
+        assert peak_nxn(lambda: build_pair_matrices(s, spec), self.N) <= 1.85
 
     def test_permuted_triple_holds_no_matrix(self):
         # two gather blocks of 54 rows each

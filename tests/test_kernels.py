@@ -28,9 +28,11 @@ from gammadep.kernels import (
     _pairwise_distances,
     apex_value_table,
     build_pair_matrices,
+    pack_rows,
     pair_peak_bytes,
     pair_value_table,
     resolve_kernel_spec,
+    walk_row_blocks,
 )
 
 
@@ -213,6 +215,17 @@ class TestMedianBandwidth:
                 median_bandwidth(m)
             assert exc.value.code == "DEGENERATE"
 
+    def test_an_overflowing_median_is_refused_without_a_warning(self):
+        # finite rows whose differences overflow float64: the positive
+        # distances {1e308, 1e308, 1e308, inf, inf, inf} have an inf median,
+        # and {1e308, 1e308, inf} a middle pair whose sum overflows
+        for rows in ([[-1e308], [1e308], [0.0], [1e308]], [[0.0], [1e308], [-1e308]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GammadepError) as exc:
+                    median_bandwidth(rows)
+            assert exc.value.code == "NONFINITE"
+
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((10, 2))
@@ -262,15 +275,34 @@ class TestMemoryGuard:
         monkeypatch.setattr(kernels, "_MEMINFO", str(tmp_path / "absent"))
         assert kernels._mem_available() is None
 
+    @staticmethod
+    def packed(n):
+        return sum((hi - lo) * (n - lo) for lo, hi in walk_row_blocks(n))
+
     def test_model(self):
-        # two n x n matrices, one tile, two gather blocks per worker
+        # one n x n matrix and A~'s packed blocks, plus the largest of one
+        # tile, the rebuild buffer and two gather blocks per worker
         cpus = os.cpu_count() or 1
-        tile = 8 * min(1000, math.isqrt(_TILE_ELEMS // 5)) ** 2 * 5
-        assert pair_peak_bytes(1000, 5, workers=1) == 16 * 1000**2 + tile + 2 * 8 * _GATHER_ELEMS
+        tile = min(1000, math.isqrt(_TILE_ELEMS // 5)) ** 2 * 5
+        assert 0.5 * 1000**2 < self.packed(1000) < 0.53 * 1000**2
+        assert pair_peak_bytes(1000, 5, workers=1) == 8 * (
+            1000**2 + self.packed(1000) + max(tile, 2 * _GATHER_ELEMS)
+        )
         assert pair_peak_bytes(1000, 5) == pair_peak_bytes(1000, 5, workers=cpus)
         assert pair_peak_bytes(1000, 5, workers=cpus + 3) == pair_peak_bytes(1000, 5)
-        # for n > _GATHER_ELEMS a gather block is one row of n
-        assert pair_peak_bytes(40000, 1, workers=1) == 8 * (2 * 40000**2 + _TILE_ELEMS + 2 * 40000)
+        # for n <= 181 the one block is A~ itself: two n x n matrices
+        assert self.packed(181) == 181**2
+        assert pair_peak_bytes(181, 1, workers=1) == 8 * (2 * 181**2 + 2 * _GATHER_ELEMS)
+        # for n > _GATHER_ELEMS a gather block is one row of n, and the
+        # rebuild buffer's four rows of n are the largest extra
+        assert pair_peak_bytes(40000, 1, workers=1) == 8 * (
+            40000**2 + self.packed(40000) + 4 * 40000
+        )
+
+    def test_packing_admits_a_larger_n(self):
+        # about 1.5 n x n matrices, not two (16 n^2 bytes)
+        for n in (2000, 20000):
+            assert pair_peak_bytes(n, 5, workers=2) < 0.77 * 16 * n * n
 
     def test_too_small_refuses_before_allocating(self, tmp_path, monkeypatch):
         s = self.sample()
@@ -441,23 +473,29 @@ class TestBuildPairMatrices:
             y = rng.standard_normal((7, 3))
             s = validate_sample(x, y)
             mats = build_pair_matrices(s, KernelPairSpec.dcov())
-            assert np.array_equal(mats.a, mats.a.T)
-            assert np.all(np.diag(mats.a) == 0.0)
+            a = mats.a.rows(0, 7)
+            assert np.array_equal(a, a.T)
+            assert np.all(np.diag(a) == 0.0)
             gm = build_pair_matrices(
                 s, KernelPairSpec.ghsic(median_bandwidth(x), median_bandwidth(y))
             )
+            ga = gm.a.rows(0, 7)
             assert np.array_equal(gm.b, gm.b.T)
-            assert np.all(np.diag(gm.a) == 0.0) and np.all(np.diag(gm.b) == 0.0)
+            assert np.all(np.diag(ga) == 0.0) and np.all(np.diag(gm.b) == 0.0)
             off = ~np.eye(7, dtype=bool)
-            assert np.all((gm.a[off] > 0) & (gm.a[off] <= 1))
+            assert np.all((ga[off] > 0) & (ga[off] <= 1))
 
     def test_nonzero_diagonal_is_rejected(self):
         s = validate_sample(np.random.default_rng(9).standard_normal((6, 2)), np.eye(6))
         mats = build_pair_matrices(s, KernelPairSpec.dcov())
         unit = np.eye(6)
-        for a, b in ((mats.a + unit, mats.b), (mats.a, mats.b + unit)):
+        # A~'s diagonal is checked on the dense matrix, before packing
+        for build in (
+            lambda: pack_rows(mats.a.rows(0, 6) + unit),
+            lambda: PairKernelMatrices(mats.a, mats.b + unit, mats.spec),
+        ):
             with pytest.raises(GammadepError) as exc:
-                PairKernelMatrices(a, b, mats.spec)
+                build()
             assert exc.value.code == "BAD_KERNEL"
 
     def test_pcov_has_no_pair_matrices(self):
@@ -491,9 +529,10 @@ class TestBuildPairMatrices:
         rng = np.random.default_rng(11)
         s = validate_sample(rng.standard_normal((40, 3)), rng.standard_normal((40, 2)))
         mats = build_pair_matrices(s, resolve_kernel_spec(kind, s))
-        for mat, rows in ((mats.a, mats.r), (mats.b, mats.c)):
+        dense = mats.a.rows(0, 40)
+        for mat, rows in ((dense, mats.r), (mats.b, mats.c)):
             assert rows.tobytes() == mat.sum(axis=1).tobytes()
-        vectors, scalars = self._direct_sums(mats.a, mats.b)
+        vectors, scalars = self._direct_sums(dense, mats.b)
         for name, want in vectors.items():
             got = getattr(mats, name)
             assert got.tobytes() == want.tobytes(), name
@@ -505,8 +544,8 @@ class TestBuildPairMatrices:
         with pytest.raises(AttributeError):
             mats.r = mats.c
         # a matrix pair built directly, not through build_pair_matrices, gets its own
-        a = mats.a + (1.0 - np.eye(40))
-        shifted = PairKernelMatrices(a, mats.b, mats.spec)
+        a = dense + (1.0 - np.eye(40))
+        shifted = PairKernelMatrices(pack_rows(a), mats.b, mats.spec)
         assert shifted.r.tobytes() == a.sum(axis=1).tobytes()
         assert shifted.c is not mats.c and np.array_equal(shifted.c, mats.c)
         vectors, scalars = self._direct_sums(a, mats.b)
@@ -523,9 +562,9 @@ class TestBuildPairMatrices:
         s = validate_sample(rng.standard_normal((8, 2)), rng.standard_normal((8, 2)))
         mats = build_pair_matrices(s, KernelPairSpec.dcov())
         for name in ("a", "b"):
-            mat = (mats.a if name == "a" else mats.b).copy()
+            mat = (mats.a.rows(0, 8) if name == "a" else mats.b.copy())
             mat[2, 5] = mat[5, 2] = bad
-            pair = (mat, mats.b) if name == "a" else (mats.a, mat)
+            pair = (pack_rows(mat), mats.b) if name == "a" else (mats.a, mat)
             with pytest.raises(GammadepError) as exc:
                 PairKernelMatrices(*pair, mats.spec)
             assert exc.value.code == "NONFINITE", name
@@ -540,3 +579,95 @@ class TestBuildPairMatrices:
             with pytest.raises(GammadepError) as exc:
                 build_pair_matrices(s, KernelPairSpec.dcov())
         assert exc.value.code == "NONFINITE"
+
+
+def dense_kernel(spec, data):
+    """The zero-diagonal n x n kernel matrix of one side, built densely."""
+    mat = pairwise_dcov(data) if spec.id == "dcov" else pairwise_ghsic(data, spec.bandwidths[0])
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+class TestPackedRows:
+    """A~ is kept only as the upper-triangle row blocks the T1 walk reads."""
+
+    @staticmethod
+    def pair(n, kind, seed=41):
+        rng = np.random.default_rng(seed + n)
+        x = rng.standard_normal((n, 3))
+        s = validate_sample(x, 0.5 * x[:, :2] + rng.standard_normal((n, 2)))
+        spec = resolve_kernel_spec(kind, s)
+        return s, spec, build_pair_matrices(s, spec)
+
+    @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
+    @pytest.mark.parametrize("n", [182, 700, 1500])
+    def test_multi_block_sums_are_the_dense_reductions(self, n, kind):
+        s, spec, mats = self.pair(n, kind)
+        a = dense_kernel(spec, s.x)
+        b = mats.b
+        spans = walk_row_blocks(n)
+        assert len(spans) > 1 and len(mats.a.blocks) == len(spans)
+        for (lo, hi), blk in zip(spans, mats.a.blocks):
+            assert blk.shape == (hi - lo, n - lo) and blk.base is None
+            assert np.array_equal(blk, a[lo:hi, lo:])
+            assert not blk.flags.writeable
+            with pytest.raises(ValueError):
+                blk[0, 0] = 1.0
+        r, c = a.sum(axis=1), b.sum(axis=1)
+        want = {
+            "r": r,
+            "c": c,
+            "u": np.einsum("ij,ij->i", a, b),
+            "q": b @ r,
+            "a_total": float(r.sum()),
+            "b_total": float(c.sum()),
+            "a_sq": float(np.einsum("ij,ij->", a, a)),
+            "b_sq": float(np.einsum("ij,ij->", b, b)),
+        }
+        for name, value in want.items():
+            got = getattr(mats, name)
+            if isinstance(value, float):
+                assert type(got) is float and got == value, name
+            else:
+                assert got.tobytes() == value.tobytes(), name
+                assert not got.flags.writeable, name
+        # p in slices of four rows, each one single-threaded dgemv group: on
+        # OpenBLAS x86-64 that is the dense a @ c under one BLAS thread
+        sliced = np.concatenate([a[g : g + 4] @ c for g in range(0, n, 4)])
+        assert mats.p.tobytes() == sliced.tobytes()
+        assert np.allclose(mats.p, a @ c, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [5, 181])
+    def test_one_block_is_the_dense_matrix(self, n):
+        s, spec, mats = self.pair(n, "ghsic")
+        (blk,) = mats.a.blocks
+        a = dense_kernel(spec, s.x)
+        assert np.array_equal(blk, a) and not blk.flags.writeable
+        c = mats.b.sum(axis=1)
+        assert mats.u.tobytes() == np.einsum("ij,ij->i", a, mats.b).tobytes()
+        assert mats.p.tobytes() == (a @ c).tobytes()
+
+    @pytest.mark.parametrize("n", [181, 182, 451, 700])
+    def test_rows_rebuild_any_range(self, n):
+        s, spec, mats = self.pair(n, "dcov")
+        a = dense_kernel(spec, s.x)
+        rng = np.random.default_rng(n)
+        ranges = [(0, n), (0, 1), (n - 1, n)]
+        ranges += [tuple(sorted(rng.choice(n + 1, 2, replace=False))) for _ in range(6)]
+        for lo, hi in ranges:
+            assert np.array_equal(mats.a.rows(lo, hi), a[lo:hi]), (lo, hi)
+        out = np.full((7, n), np.nan)
+        assert mats.a.rows(3, 10, out) is out and np.array_equal(out, a[3:10])
+
+    def test_only_b_is_n_by_n(self):
+        n = 600
+        _, _, mats = self.pair(n, "dcov")
+        held = [mats.b, mats.r, mats.c, mats.u, mats.p, mats.q, *mats.a.blocks]
+        # an array that is n x n, or a view that keeps one alive
+        square = [
+            arr for arr in held
+            if arr.shape == (n, n) or (arr.base is not None and arr.base.size >= n * n)
+        ]
+        assert len(square) == 1 and square[0] is mats.b
+        assert sum(blk.nbytes for blk in mats.a.blocks) <= 0.6 * 8 * n * n
+

@@ -17,6 +17,8 @@ from gammadep import (
     build_pair_matrices,
     fast_triple_pair,
     median_bandwidth,
+    pairwise_dcov,
+    pairwise_ghsic,
     validate_sample,
 )
 from gammadep.ustat import PairStatCore, PcovPermCore
@@ -327,9 +329,15 @@ class TestRowBlockedT1:
         for kind in ("dcov", "ghsic"):
             core = pair_core(sample, kind)
             mats = core.mats
+            # the dense A~, built here, against the walk over its stored blocks
+            if kind == "dcov":
+                a = pairwise_dcov(sample.x)
+            else:
+                a = pairwise_ghsic(sample.x, mats.spec.bandwidths[0])
+            np.fill_diagonal(a, 0.0)
             for perm in (rng.permutation(n), None):
                 p = np.arange(n) if perm is None else perm
-                ref = np.sum(mats.a * mats.b[np.ix_(p, p)])
+                ref = np.sum(a * mats.b[np.ix_(p, p)])
                 assert core.triple(perm).s1 * n * (n - 1) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("n", [120, 313, 451, 1000])
