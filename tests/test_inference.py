@@ -513,6 +513,69 @@ class TestPermutationTest:
         assert all(0 < r.p_perm <= 1 for r in report.per_gamma.values())
 
 
+# report_to_dict of one dcov permutation_test, recorded before the test was
+# split into its pool, p-value and report steps; a change that moves these
+# digits edits the pin and names the moved fields
+PINNED_REPORT = {
+    "schema_version": 1,
+    "n": 30,
+    "d1": 2,
+    "d2": 2,
+    "kernel": {"id": "dcov", "m": 4, "bandwidths": None},
+    "gammas": ["1", "2", "3", "4", "5", "6", "inf"],
+    "b_count": 49,
+    "seed": 5,
+    "combiners": ["fisher", "min", "cauchy"],
+    "tie_mode": "strict",
+    "stat_triple": {"s1": 3.2530703810243615, "s2": 3.1112503616668232, "s3": 3.1196907288405527},
+    "sigma0_sq": 0.033914562293759436,
+    "per_gamma": {
+        "1": {"mu_hat": 0.12493928501007945, "scaled_stat": 3.7481785503023834, "p_perm": 0.02, "p_asym": None},
+        "2": {
+            "mu_hat": 0.13364644183329835,
+            "scaled_stat": 0.7320117092239959,
+            "p_perm": 0.04,
+            "p_asym": 0.024704940823963312,
+        },
+        "3": {"mu_hat": 0.13336838487256725, "scaled_stat": 1.2876575983646172, "p_perm": 0.04, "p_asym": None},
+        "4": {
+            "mu_hat": 0.1333801868885248,
+            "scaled_stat": 0.7305533708309982,
+            "p_perm": 0.04,
+            "p_asym": 0.007684633604543376,
+        },
+        "5": {"mu_hat": 0.13337962511441392, "scaled_stat": 1.0265077799554616, "p_perm": 0.04, "p_asym": None},
+        "6": {
+            "mu_hat": 0.13337965361128507,
+            "scaled_stat": 0.7305504499512622,
+            "p_perm": 0.04,
+            "p_asym": 0.004741129852754365,
+        },
+        "inf": {
+            "mu_hat": 0.13337965218380887,
+            "scaled_stat": 0.7305504421326531,
+            "p_perm": 0.04,
+            "p_asym": 0.0015245865546999256,
+        },
+    },
+    "combined": {
+        "fisher": {"stat": 46.45055590927469, "p_perm": 0.04},
+        "min": {"stat": -0.02, "p_perm": 0.02},
+        "cauchy": {"stat": 31.69471768685011, "p_perm": 0.04},
+    },
+}
+
+
+def test_dcov_report_is_pinned():
+    from gammadep.cli import report_to_dict
+
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 2))
+    sample = validate_sample(x, 0.5 * x + rng.standard_normal((30, 2)))
+    report = permutation_test(sample, KernelPairSpec.dcov(), GammaSet.default(), PermutationPlan(49, 5))
+    assert report_to_dict(report) == PINNED_REPORT
+
+
 def peak_nxn(fn, n):
     """tracemalloc peak of fn() above the bytes traced at entry, in n x n
     float64 matrices."""

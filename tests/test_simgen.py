@@ -254,6 +254,115 @@ def test_population_values_are_pinned(cfg, spec, seed, want):
     assert mc_population_triple(replace(cfg, seed=seed), spec, 20_000).to_dict() == want
 
 
+# size_power_experiment p-value tables, each entry k of p = k / (B + 1),
+# recorded before the report step left the simulation path; a change that
+# moves them edits these pins and names the moved entries
+PINNED_TABLE_CONFIG = SimConfig(model="m1", n=30, d1=2, d2=2, reps=100, b_count=19, seed=57)
+PINNED_TABLES = {
+    ("dcov", "strict"): {
+        "T1": (
+            "1 3 1 1 2 1 3 1 1 1 1 18 2 4 2 3 4 1 7 2 1 1 1 1 2 1 1 1 1 4 1 4 1 5 1 1 6 1 1 1 4 3 1 3 "
+            "1 1 1 2 1 5 5 1 1 4 1 1 3 1 1 1 1 1 1 3 2 1 4 18 13 1 1 2 11 1 4 1 1 1 1 5 1 1 1 1 1 5 1 "
+            "1 2 1 1 1 15 6 1 1 1 1 1 3"
+        ),
+        "T2": (
+            "1 1 1 1 13 7 3 1 1 8 1 3 7 6 9 2 17 5 11 8 1 5 1 1 10 11 1 1 1 4 1 3 3 15 1 1 4 1 1 1 4 "
+            "1 1 10 1 2 4 1 1 7 1 1 1 9 1 1 12 4 1 1 1 1 1 1 4 1 11 13 20 10 1 8 8 1 10 1 2 5 2 17 1 "
+            "2 4 2 2 5 1 3 11 1 11 5 19 20 2 1 1 3 1 5"
+        ),
+        "fisher": (
+            "1 1 1 1 2 2 3 1 1 1 1 6 3 3 3 2 10 1 10 3 1 2 1 1 4 1 1 1 1 3 1 4 1 9 1 1 4 1 1 1 4 2 1 "
+            "5 1 1 1 1 1 7 2 1 1 5 1 1 6 1 1 1 1 1 1 1 2 1 6 19 18 1 1 3 12 1 5 1 1 1 1 10 1 1 1 1 1 "
+            "3 1 1 5 1 1 2 20 14 1 1 1 1 1 4"
+        ),
+        "cauchy": (
+            "1 1 1 1 2 2 3 1 1 1 1 12 3 3 3 2 14 1 8 2 1 1 1 1 4 1 1 1 1 4 1 4 1 8 1 1 4 1 1 1 4 2 1 "
+            "5 1 1 1 1 1 8 1 1 1 5 1 1 4 1 1 1 1 1 1 1 3 1 6 16 19 1 1 3 10 1 5 1 1 1 1 14 1 1 1 1 1 "
+            "3 1 1 3 1 1 2 20 17 1 1 1 1 1 4"
+        ),
+    },
+    ("dcov", "inclusive"): {
+        "T1": (
+            "1 3 1 1 2 1 3 1 1 1 1 18 2 4 2 3 4 1 7 2 1 1 1 1 2 1 1 1 1 4 1 4 1 5 1 1 6 1 1 1 4 3 1 3 "
+            "1 1 1 2 1 5 5 1 1 4 1 1 3 1 1 1 1 1 1 3 2 1 4 18 13 1 1 2 11 1 4 1 1 1 1 5 1 1 1 1 1 5 1 "
+            "1 2 1 1 1 15 6 1 1 1 1 1 3"
+        ),
+        "T2": (
+            "1 1 1 1 13 7 3 1 1 8 1 3 7 6 9 2 17 5 11 8 1 5 1 1 10 11 1 1 1 4 1 3 3 15 1 1 4 1 1 1 4 "
+            "1 1 10 1 2 4 1 1 7 1 1 1 9 1 1 12 4 1 1 1 1 1 1 4 1 11 13 20 10 1 8 8 1 10 1 2 5 2 17 1 "
+            "2 4 2 2 5 1 3 11 1 11 5 19 20 2 1 1 3 1 5"
+        ),
+        "fisher": (
+            "1 2 1 1 2 2 3 1 1 1 1 6 3 3 3 3 10 1 10 3 1 2 1 1 4 2 1 1 1 3 1 4 1 9 1 1 5 1 1 1 4 2 1 "
+            "5 1 1 2 1 1 7 3 1 1 5 1 1 6 1 1 1 1 1 1 1 2 1 6 19 18 1 1 3 12 1 6 1 1 1 1 10 1 1 1 2 1 "
+            "3 1 1 5 1 1 2 20 15 1 1 1 1 1 4"
+        ),
+        "cauchy": (
+            "1 2 1 1 2 2 3 1 1 1 1 12 3 3 3 3 14 1 8 2 1 1 1 1 4 2 1 1 1 4 1 4 1 8 1 1 4 1 1 1 4 2 1 "
+            "5 1 1 1 1 1 8 2 1 1 5 1 1 4 1 1 1 1 1 1 1 3 1 6 16 19 1 1 3 10 1 5 1 1 1 1 14 1 1 1 2 1 "
+            "3 1 1 3 1 1 2 20 18 1 1 1 1 1 4"
+        ),
+    },
+    ("ghsic", "strict"): {
+        "T1": (
+            "1 4 1 1 2 1 2 1 1 2 1 19 2 6 2 3 4 1 6 4 1 1 1 1 2 1 1 2 1 6 1 5 1 5 1 1 9 1 1 1 4 1 1 3 "
+            "1 1 1 2 1 6 5 1 1 3 1 1 4 1 1 1 1 1 1 3 2 1 4 18 12 1 1 2 8 1 4 1 1 1 1 7 1 1 1 1 1 5 1 "
+            "1 2 1 1 2 13 7 1 1 1 1 1 3"
+        ),
+        "T2": (
+            "1 1 1 1 14 7 3 1 1 7 1 4 6 8 5 3 18 5 10 7 1 4 1 1 8 7 1 1 1 4 1 4 2 15 1 1 5 1 1 1 5 1 "
+            "1 12 1 1 1 1 1 7 1 1 1 9 1 1 13 3 1 1 1 1 1 1 4 1 13 13 19 12 1 9 9 1 10 1 3 5 1 19 1 1 "
+            "4 2 2 5 1 3 12 1 9 8 20 19 2 1 1 2 1 5"
+        ),
+        "fisher": (
+            "1 1 1 1 2 2 3 1 1 1 1 9 3 7 2 3 8 1 7 5 1 1 1 1 3 1 1 1 1 4 1 4 1 9 1 1 8 1 1 1 4 1 1 6 "
+            "1 1 1 1 1 8 2 1 1 5 1 1 8 1 1 1 1 1 1 1 2 1 7 18 18 1 1 3 11 1 6 1 1 2 1 15 1 1 1 1 1 5 "
+            "1 1 4 1 1 5 20 14 1 1 1 1 1 3"
+        ),
+        "cauchy": (
+            "1 1 1 1 2 2 3 1 1 3 1 18 3 6 2 3 15 1 6 5 1 1 1 1 3 1 1 1 1 5 1 4 1 7 1 1 7 1 1 1 4 1 1 "
+            "6 1 1 1 1 1 7 2 1 1 5 1 1 7 1 1 1 1 1 1 1 3 1 7 16 20 1 1 3 10 1 5 1 1 2 1 18 1 1 1 1 1 "
+            "5 1 1 4 1 1 5 20 18 1 1 1 1 1 3"
+        ),
+    },
+    ("ghsic", "inclusive"): {
+        "T1": (
+            "1 4 1 1 2 1 2 1 1 2 1 19 2 6 2 3 4 1 6 4 1 1 1 1 2 1 1 2 1 6 1 5 1 5 1 1 9 1 1 1 4 1 1 3 "
+            "1 1 1 2 1 6 5 1 1 3 1 1 4 1 1 1 1 1 1 3 2 1 4 18 12 1 1 2 8 1 4 1 1 1 1 7 1 1 1 1 1 5 1 "
+            "1 2 1 1 2 13 7 1 1 1 1 1 3"
+        ),
+        "T2": (
+            "1 1 1 1 14 7 3 1 1 7 1 4 6 8 5 3 18 5 10 7 1 4 1 1 8 7 1 1 1 4 1 4 2 15 1 1 5 1 1 1 5 1 "
+            "1 12 1 1 1 1 1 7 1 1 1 9 1 1 13 3 1 1 1 1 1 1 4 1 13 13 19 12 1 9 9 1 10 1 3 5 1 19 1 1 "
+            "4 2 2 5 1 3 12 1 9 8 20 19 2 1 1 2 1 5"
+        ),
+        "fisher": (
+            "1 1 1 1 2 2 3 1 1 1 1 9 3 7 2 3 8 1 7 5 1 2 1 1 3 1 1 2 1 4 1 4 1 9 1 1 8 1 1 1 4 1 1 6 "
+            "1 1 1 1 1 8 2 1 1 5 1 1 8 1 1 1 1 1 1 1 2 1 7 18 18 1 1 3 12 1 6 1 2 2 1 15 1 1 2 2 1 5 "
+            "1 1 4 1 1 5 20 14 1 1 1 1 1 4"
+        ),
+        "cauchy": (
+            "1 1 1 1 2 2 3 1 1 3 1 18 3 6 2 3 15 1 6 5 1 1 1 1 3 1 1 2 1 5 1 4 1 7 1 1 7 1 1 1 4 1 1 "
+            "6 1 1 1 1 1 7 2 1 1 5 1 1 7 1 1 1 1 1 1 1 3 1 7 16 20 1 1 3 11 1 5 1 2 2 1 18 1 1 2 2 1 "
+            "5 1 1 4 1 1 5 20 18 1 1 1 1 1 4"
+        ),
+    },
+}
+
+
+
+@pytest.mark.parametrize("kernel,tie_mode", list(PINNED_TABLES))
+def test_pvalue_tables_are_pinned(kernel, tie_mode):
+    cfg = PINNED_TABLE_CONFIG
+    res = size_power_experiment(
+        cfg, GammaSet((1, 2)), combiners=("fisher", "cauchy"), kernel=kernel, tie_mode=tie_mode
+    )
+    want = PINNED_TABLES[(kernel, tie_mode)]
+    assert res.methods == tuple(want)
+    counts = np.array([[int(k) for k in col.split()] for col in want.values()]).T
+    assert np.array_equal(res.pvalues, counts / (cfg.b_count + 1))
+
+
 class TestSizePowerExperiment:
     def test_reps_floor(self):
         cfg = SimConfig(model="null-a", n=30, d1=2, d2=2, reps=50, b_count=20, seed=51)
