@@ -1,25 +1,27 @@
 """P-values and decisions: the permutation procedure, the half-normal
 asymptotic p-value, and the three p-value combiners.
 
-Permutation flow for one sample (B replicates):
+Permutation flow for one sample (B replicates). ``permutation_pool`` runs
+steps 1-2, ``permutation_pvalues`` steps 3-5, and ``permutation_test`` adds
+the report (jackknife, permutation variance, p_asym); a simulation
+replicate runs only the first two:
 
 1. metric values mu_hat on the original sample, one per exponent;
 2. for b = 1..B permute the y rows only and recompute mu_hat
    (kernel matrices are built once: permuting y rows permutes the rows and
    columns of B, so each replicate is a row-blocked gather of B against A,
    about 256 KB per block with no n x n temporary, plus O(n) reductions).
-   The gathers release the GIL, and from n = 675 on (``_THREADED_MIN_N``,
-   where a second thread was measured to pay) b = 1..B runs as
+   From n = 675 on (``_THREADED_MIN_N``, where a second thread was
+   measured to pay; the gathers release the GIL) b = 1..B runs as
    ``min(threads, cpu count)`` contiguous blocks on worker threads. The
-   (B+1) x L pool of mu_hat is then scaled once by the per-exponent rate
-   row ``rate_w(n, gamma)``;
-3. a (B+1) x L matrix of per-exponent p-values, one row per pool member,
-   each column ranked leave-one-out inside the shared pool with the add-one
-   rule (1 + count)/(B + 1);
+   (B+1) x L pool is then scaled once by the rate row ``rate_w(n, gamma)``;
+3. per-exponent p-values, one row per pool member, each column ranked
+   leave-one-out inside the shared pool with the add-one rule;
 4. combined statistics (fisher / min / cauchy) for every pool member, each
-   one reduction over the rows of that matrix;
-5. combined p-value for the original: row 0 of the same add-one ranking
-   applied to the column of combined statistics.
+   one reduction over the rows of the step-3 matrix;
+5. combined p-values for every member, by the same ranking of each column
+   of combined statistics. Row 0 of the (B+1) x (L + C) matrix is the
+   original's.
 
 Every permutation is a pure function of (seed, b) through a counter-based
 generator, so reports are identical regardless of thread count or
@@ -175,6 +177,20 @@ def asymptotic_pvalue(scaled_mu: float, gamma: Gamma, sigma0: float, m: int) -> 
     return min(1.0, max(p, 5e-324))
 
 
+def check_plan(combiners, tie_mode: str) -> tuple:
+    """The combiners as a tuple, after refusing an unknown tie mode or an
+    unknown or repeated combiner with BAD_PLAN."""
+    if tie_mode not in ("strict", "inclusive"):
+        raise fail("BAD_PLAN", f"unknown tie mode {tie_mode!r}")
+    combiners = tuple(combiners)
+    for c in combiners:
+        if c not in _COMBINE:
+            raise fail("BAD_PLAN", f"unknown combiner {c!r}")
+    if len(set(combiners)) != len(combiners):
+        raise fail("BAD_PLAN", f"duplicate combiner in {list(combiners)}")
+    return combiners
+
+
 def _pool_pvalues(pool: np.ndarray, tie_mode: str) -> np.ndarray:
     """Leave-one-out add-one p-values for every member of one statistic pool.
 
@@ -192,44 +208,27 @@ def _pool_pvalues(pool: np.ndarray, tie_mode: str) -> np.ndarray:
         return np.ones(size, dtype=np.float64)
     order = np.sort(pool)
     if tie_mode == "strict":
-        greater = size - np.searchsorted(order, pool, side="right")
-        return (1.0 + greater) / size
-    if tie_mode == "inclusive":
-        geq = size - np.searchsorted(order, pool, side="left")
-        return geq / size
-    raise fail("BAD_PLAN", f"unknown tie mode {tie_mode!r}")
+        return (1 + size - np.searchsorted(order, pool, side="right")) / size
+    return (size - np.searchsorted(order, pool, side="left")) / size
 
 
-def permutation_test(
-    sample: Sample,
-    spec: KernelPairSpec,
-    gammas: GammaSet,
-    plan: PermutationPlan,
-    combiners=COMBINERS,
-    *,
-    tie_mode: str = "strict",
-    threads: int = 1,
-) -> TestReport:
-    """Run the full permutation procedure and assemble a TestReport."""
-    if tie_mode not in ("strict", "inclusive"):
-        raise fail("BAD_PLAN", f"unknown tie mode {tie_mode!r}")
-    combiners = tuple(combiners)
-    for c in combiners:
-        if c not in _COMBINE:
-            raise fail("BAD_PLAN", f"unknown combiner {c!r}")
-    if len(set(combiners)) != len(combiners):
-        raise fail("BAD_PLAN", f"duplicate combiner in {list(combiners)}")
+def permutation_pool(
+    sample: Sample, spec: KernelPairSpec, gammas: GammaSet, plan: PermutationPlan, *, threads: int = 1
+):
+    """Steps 1-2: the stat core, the unpermuted triple, and the (B+1) x L
+    pool of mu_hat, raw and scaled by the rate row. Row 0 is the sample and
+    row b its b-th permutation; a scaled column that is not finite raises
+    NONFINITE."""
     n = sample.n
     if n < spec.m:
         raise fail("TOO_SMALL", f"need n >= {spec.m}, got n={n}")
 
     core = stat_core_for(sample, spec)
     glist = tuple(gammas)
-    n_g = len(glist)
     b_count = plan.b_count
 
     triple0 = core.triple(None)
-    mu = np.empty((b_count + 1, n_g), dtype=np.float64)
+    mu = np.empty((b_count + 1, len(glist)), dtype=np.float64)
     mu[0] = gamma_stats(triple0, gammas)
 
     def fill(lo: int, hi: int) -> None:
@@ -244,28 +243,52 @@ def permutation_test(
     else:
         fill(1, b_count + 1)
     scaled = mu * np.array([rate_w(n, g) for g in glist])
-    mu0 = mu[0]
-    scaled0 = scaled[0]
     finite = np.isfinite(scaled).all(axis=0)
     if not finite.all():
         bad = ", ".join(str(g) for g, ok in zip(glist, finite) if not ok)
         raise fail("NONFINITE", f"scaled statistic overflows float64 at gamma {bad}")
+    return core, triple0, mu, scaled
 
-    # Step 3: per-exponent p-values, one row per pool member.
-    p_members = np.empty_like(scaled)
+
+def permutation_pvalues(scaled: np.ndarray, combiners: tuple, tie_mode: str):
+    """Steps 3-5 for a checked plan: the (B+1) x (L + C) add-one p-values of
+    every pool member, per exponent then per combiner, and the (B+1) x C
+    combined statistics. The cauchy transform is fed p-values capped at
+    B/(B+1) to stay clear of the tan singularity at 1."""
+    size, n_g = scaled.shape
+    p = np.empty((size, n_g + len(combiners)), dtype=np.float64)
+    stats = np.empty((size, len(combiners)), dtype=np.float64)
     for j in range(n_g):
-        p_members[:, j] = _pool_pvalues(scaled[:, j], tie_mode)
+        p[:, j] = _pool_pvalues(scaled[:, j], tie_mode)
+    cap = (size - 1) / size
+    for k, name in enumerate(combiners):
+        feed = np.minimum(p[:, :n_g], cap) if name == "cauchy" else p[:, :n_g]
+        stats[:, k] = _COMBINE[name](feed)
+        p[:, n_g + k] = _pool_pvalues(stats[:, k], tie_mode)
+    return p, stats
 
-    # Steps 4-5: the cauchy transform is fed p-values capped at B/(B+1) to
-    # stay clear of the tan singularity at 1.
-    combined = {}
-    cap = b_count / (b_count + 1.0)
-    for name in combiners:
-        feed = np.minimum(p_members, cap) if name == "cauchy" else p_members
-        stats_pool = _COMBINE[name](feed)
-        combined[name] = CombinedResult(
-            stat=float(stats_pool[0]), p_perm=float(_pool_pvalues(stats_pool, tie_mode)[0])
-        )
+
+def permutation_test(
+    sample: Sample,
+    spec: KernelPairSpec,
+    gammas: GammaSet,
+    plan: PermutationPlan,
+    combiners=COMBINERS,
+    *,
+    tie_mode: str = "strict",
+    threads: int = 1,
+) -> TestReport:
+    """Run the full permutation procedure and assemble a TestReport: the
+    pool, its p-values, then the jackknife display and p_asym."""
+    combiners = check_plan(combiners, tie_mode)
+    core, triple0, mu, scaled = permutation_pool(sample, spec, gammas, plan, threads=threads)
+    p, stats = permutation_pvalues(scaled, combiners, tie_mode)
+    n = sample.n
+    glist = tuple(gammas)
+    combined = {
+        name: CombinedResult(stat=float(stats[0, k]), p_perm=float(p[0, len(glist) + k]))
+        for k, name in enumerate(combiners)
+    }
 
     # The report carries the paper's jackknife display; p_asym is studentized
     # by the exact permutation variance of u. A variance that is 0 or rounds
@@ -282,16 +305,16 @@ def permutation_test(
     for j, g in enumerate(glist):
         p_asym = None
         if has_half_normal_limit(g) and sigma0 is not None:
-            p_asym = asymptotic_pvalue(float(scaled0[j]), g, sigma0, spec.m)
+            p_asym = asymptotic_pvalue(float(scaled[0, j]), g, sigma0, spec.m)
         per_gamma[g] = GammaResult(
-            mu_hat=float(mu0[j]),
-            scaled_stat=float(scaled0[j]),
-            p_perm=float(p_members[0, j]),
+            mu_hat=float(mu[0, j]),
+            scaled_stat=float(scaled[0, j]),
+            p_perm=float(p[0, j]),
             p_asym=p_asym,
         )
 
     meta = {
-        "b_count": b_count,
+        "b_count": plan.b_count,
         "seed": int(plan.seed),
         "kernel": spec,
         "gammas": glist,

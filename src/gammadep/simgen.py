@@ -29,7 +29,8 @@ import numpy as np
 
 from .data_model import GammaSet, KernelPairSpec, Sample, validate_sample
 from .errors import fail
-from .inference import COMBINERS, PermutationPlan, check_seed, derive_seed, permutation_test
+from .inference import COMBINERS, PermutationPlan, check_plan, check_seed, derive_seed
+from .inference import permutation_pool, permutation_pvalues
 from .kernels import F1, F2, kernel_values, resolve_kernel_spec
 
 # each null design draws x and y independently from one error family
@@ -324,27 +325,27 @@ def size_power_experiment(
 ) -> SizePowerResult:
     """Rejection frequencies of every per-exponent test and combiner.
 
-    Replications run in sequence; each ``permutation_test`` gets ``threads``
-    and splits its own permutations over threads only from
-    ``inference._THREADED_MIN_N`` (675) on. Each
-    replication derives its data and permutation seeds from (cfg.seed, rep),
-    so the table is reproducible from the config alone and invariant to
-    thread count.
+    The combiners and tie mode are checked once, before any draw. Each
+    replication runs the permutation pool and its p-values, not a full
+    ``permutation_test`` (no jackknife, no report), and keeps row 0 of its
+    p-value matrix. The pool splits its permutations over ``threads`` only
+    from ``inference._THREADED_MIN_N`` (675) on. Each replication derives
+    its data and permutation seeds from (cfg.seed, rep), so the table is
+    reproducible from the config alone and invariant to thread count.
     """
     if cfg.reps < 100:
         raise fail("TOO_FEW_REPS", f"need reps >= 100, got {cfg.reps}")
-    glabels = [f"T{g}" for g in (str(g) for g in gammas)]
-    combiners = tuple(combiners)
-    methods = tuple(glabels) + combiners
+    combiners = check_plan(combiners, tie_mode)
+    methods = tuple(f"T{g}" for g in gammas) + combiners
 
     pvals = np.empty((cfg.reps, len(methods)), dtype=np.float64)
     for rep in range(cfg.reps):
         sample = gen_model(cfg, _rng(derive_seed(cfg.seed, 0, rep)))
         spec = resolve_kernel_spec(kernel, sample)
         plan = PermutationPlan(cfg.b_count, derive_seed(cfg.seed, 1, rep))
-        report = permutation_test(sample, spec, gammas, plan, combiners, tie_mode=tie_mode, threads=threads)
-        row = [report.per_gamma[g].p_perm for g in gammas]
-        pvals[rep] = row + [report.combined[c].p_perm for c in combiners]
+        *_, scaled = permutation_pool(sample, spec, gammas, plan, threads=threads)
+        p, _ = permutation_pvalues(scaled, combiners, tie_mode)
+        pvals[rep] = p[0]
 
     rejections = tuple(int(c) for c in np.sum(pvals <= cfg.alpha, axis=0))
     return SizePowerResult(

@@ -350,7 +350,6 @@ PINNED_TABLES = {
 }
 
 
-
 @pytest.mark.parametrize("kernel,tie_mode", list(PINNED_TABLES))
 def test_pvalue_tables_are_pinned(kernel, tie_mode):
     cfg = PINNED_TABLE_CONFIG
@@ -403,10 +402,10 @@ class TestSizePowerExperiment:
             seen.append((sys._getframe(1).f_code.co_name, max_workers))
             return real_pool(max_workers=max_workers)
 
-        # from inference._THREADED_MIN_N every replication's test splits its
-        # permutations over a pool; n = 12: no pool at all
+        # from inference._THREADED_MIN_N every replication's permutation pool
+        # splits its permutations over a thread pool; n = 12: no pool at all
         threaded_n = inference._THREADED_MIN_N
-        for n, pools in ((threaded_n, [("permutation_test", 2)] * 100), (12, [])):
+        for n, pools in ((threaded_n, [("permutation_pool", 2)] * 100), (12, [])):
             cfg = SimConfig(model="null-b", n=n, d1=2, d2=2, reps=100, b_count=9, seed=56)
             with monkeypatch.context() as patch:
                 serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)
@@ -417,6 +416,51 @@ class TestSizePowerExperiment:
             assert capped == serial
             assert np.array_equal(capped.pvalues, serial.pvalues)
             seen.clear()
+
+    @pytest.mark.parametrize(
+        "combiners, tie_mode",
+        [(("fisher", "max"), "strict"), (("min", "min"), "strict"), (("fisher",), "ties-up")],
+        ids=["unknown-combiner", "repeated-combiner", "unknown-tie-mode"],
+    )
+    def test_bad_plan_is_refused_before_any_draw(self, monkeypatch, combiners, tie_mode):
+        from gammadep import PermutationPlan, permutation_test, simgen, validate_sample
+
+        # the refusal a single test gives for the same plan
+        sample = validate_sample(np.arange(8.0).reshape(4, 2), np.ones((4, 1)))
+        plan = PermutationPlan(9, 1)
+        with pytest.raises(GammadepError) as single:
+            permutation_test(sample, KernelPairSpec.dcov(), GammaSet((1,)), plan, combiners, tie_mode=tie_mode)
+        draws = []
+        real = simgen.gen_model
+        monkeypatch.setattr(simgen, "gen_model", lambda *a: draws.append(a) or real(*a))
+        cfg = SimConfig(model="null-a", n=20, d1=2, d2=2, reps=100, b_count=9, seed=58)
+        with pytest.raises(GammadepError) as exc:
+            size_power_experiment(cfg, GammaSet((1, 2)), combiners, kernel="ghsic", tie_mode=tie_mode)
+        assert (exc.value.code, str(exc.value)) == ("BAD_PLAN", str(single.value))
+        assert draws == []
+
+    def test_replicates_build_no_report(self, monkeypatch):
+        from gammadep import inference, simgen
+
+        cfg = SimConfig(model="m1", n=24, d1=2, d2=2, reps=100, b_count=19, seed=59)
+        want = size_power_experiment(cfg, GammaSet((1, 2)), kernel="ghsic")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate reached the report step")
+
+        for name in (
+            "permutation_test",
+            "jackknife_fast",
+            "permutation_sigma0_sq",
+            "asymptotic_pvalue",
+            "TestReport",
+            "GammaResult",
+            "CombinedResult",
+        ):
+            for mod in (inference, simgen):
+                monkeypatch.setattr(mod, name, refuse, raising=False)
+        got = size_power_experiment(cfg, GammaSet((1, 2)), kernel="ghsic")
+        assert np.array_equal(got.pvalues, want.pvalues)
 
     def test_noiseless_linear_power_is_one(self):
         cfg = SimConfig(model="m1", n=30, d1=2, d2=2, kappa=0.0, reps=100, b_count=60, seed=54)
