@@ -41,6 +41,7 @@ class _Infinity:
         return "inf"
 
     def __reduce__(self):
+        # pickle protocols 0 and 1 would otherwise rebuild without __new__
         return (_Infinity, ())
 
 

@@ -30,15 +30,16 @@ schedule). So ``pack_rows`` takes the sums that read A~ alone (its row sums
 r, total A.. and squared norm ||A~||^2) from the dense matrix, copies each
 walk block into its own read-only array, and the dense A~ is dropped
 before B~ is allocated: a pair test peaks at about 1.5 n x n instead of 2.
-For n <= 181 the walk is one block, which is A~ itself, with no copy.
+For n <= 181 the walk is one block, a copy of the whole of A~.
 
 A ``PairKernelMatrices`` holds the packed A~ and the dense B~ that ``ustat``
 and ``variance`` share without copying. It also takes, once and on
 construction, every other O(n^2) reduction of the pair that a closed form
 reads: the row sums c, u_i = sum_j a_ij b_ij, p = A~ c and q = B~ r, the
-total B.. = sum c and the squared norm ||B~||^2. u and p read A~ in row
-chunks rebuilt from the blocks into one reused buffer (for a single block,
-straight from A~). The triple reads r, c and the totals; the jackknife
+total B.. = sum c and the squared norm ||B~||^2. u, p and q are taken in
+one walk over A~'s rows, rebuilt from the blocks a chunk at a time into one
+reused buffer, with p and q in fixed slices of rows that no BLAS thread
+split divides. The triple reads r, c and the totals; the jackknife
 display and the permutation variance read only these sums, never a matrix.
 The only other reduction of A~ and B~ is the triple's T1 gather.
 Constructing one for a kernel that is not pair-dependent raises
@@ -74,10 +75,14 @@ _TILE_ELEMS = 1 << 16
 # L2, and a single block for every n <= 181.
 _GATHER_ELEMS = 1 << 15
 
-# OpenBLAS's x86-64 dgemv kernels reduce the rows of a row-major matrix in
-# groups of 4, the last n % 4 rows by another kernel. So p = A~ c, taken on
-# rebuilt rows in slices of 4 from a multiple of 4, sums every entry in the
-# order of one single-threaded ``a @ c`` on the dense A~.
+# Rows in one slice of the matrix-vector sums p = A~ c and q = B~ r. Each
+# slice is one small matmul that OpenBLAS does not split across BLAS
+# threads (scipy-openblas 0.3.31 on x86-64: the same bits under 1 and 2
+# threads for rows of up to 100,000 columns), so every entry is summed in
+# an order fixed by its slice alone, whatever the BLAS thread count. The
+# entries need not match a dense ``a @ c`` bit for bit: a one-row slice
+# (the last, when n % 4 == 1) is summed by another kernel than the tail of
+# the dense gemv.
 _GEMV_ROWS = 4
 
 # Read, never written, by the memory guard; absent outside Linux.
@@ -122,12 +127,12 @@ def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
     The dense A~ (8 n^2 bytes) while its walk blocks are copied out, then
     those blocks while B~ is built and read: both phases hold 8 (n^2 + P)
     bytes, P the elements of the blocks (about n^2 / 2, and n^2 for
-    n <= 181, where the one block is A~ itself). On top of that comes the
-    largest of what is live in turn: the distance tile of the wider side (d
-    columns; 512 KB for d <= 16384), the buffer that u and p rebuild A~'s
-    rows into (at most one tile, or four rows of n), and the two live T1
-    gather blocks per permutation worker (together at most 2 x 256 KB, or
-    two rows of n). ``workers`` defaults to, and is bounded by,
+    n <= 181, where the one block is a copy of A~). On top of that comes
+    the largest of what is live in turn: the distance tile of the wider side
+    (d columns; 512 KB for d <= 16384), the buffer that u, p and q rebuild
+    A~'s rows into (at most one tile, or four rows of n), and the two live
+    T1 gather blocks per permutation worker (together at most 2 x 256 KB,
+    or two rows of n). ``workers`` defaults to, and is bounded by,
     ``os.cpu_count()``. Within a few percent of the traced peak once the
     matrices dominate.
     """
@@ -303,8 +308,8 @@ class PackedRows:
     ``walk_row_blocks(n)``, a read-only copy of A~[lo:hi, lo:], in walk
     order, plus the sums that read A~ alone, taken from the dense matrix
     before it was dropped: the row sums r (read-only), the total A.. and the
-    squared norm ||A~||^2. For n <= 181 the one block is A~ itself. Built
-    only by ``pack_rows``."""
+    squared norm ||A~||^2. For n <= 181 the one block is a copy of the
+    whole of A~. Built only by ``pack_rows``."""
 
     blocks: tuple
     r: np.ndarray
@@ -340,20 +345,15 @@ class PackedRows:
 def pack_rows(a: np.ndarray) -> PackedRows:
     """Pack a zero-diagonal symmetric A~ into the walk's row blocks.
 
-    r, A.. and ||A~||^2 are taken from the dense A~ first. Each block of
-    two or more is a copy (a view, even of contiguous full rows, would keep
-    the whole of A~ alive); the one block for n <= 181 is a read-only view
-    of A~. Raises BAD_KERNEL for a nonzero diagonal.
+    r, A.. and ||A~||^2 are taken from the dense A~ first. Every block is a
+    read-only copy (a view, even of contiguous full rows, would keep the
+    whole of A~ alive). Raises BAD_KERNEL for a nonzero diagonal.
     """
     if np.any(np.diagonal(a) != 0.0):
         raise fail("BAD_KERNEL", "a must have a zero diagonal")
     r = a.sum(axis=1)
     sq = float(np.einsum("ij,ij->", a, a))
-    spans = walk_row_blocks(a.shape[0])
-    if len(spans) == 1:
-        blocks = (a.view(),)
-    else:
-        blocks = tuple(a[lo:hi, lo:].copy() for lo, hi in spans)
+    blocks = tuple(a[lo:hi, lo:].copy() for lo, hi in walk_row_blocks(a.shape[0]))
     for arr in (r,) + blocks:
         arr.setflags(write=False)
     return PackedRows(blocks, r, float(r.sum()), sq)
@@ -390,8 +390,8 @@ class PairKernelMatrices:
         # an entry past float range (an inf distance) leaves its row sum inf or nan
         if not (np.isfinite(r).all() and np.isfinite(c).all()):
             raise fail("NONFINITE", "a kernel matrix has a row sum that is not finite")
-        u, p = _u_and_p(a, b, c)
-        for name, vec in (("r", r), ("c", c), ("u", u), ("p", p), ("q", b @ r)):
+        u, p, q = _pair_row_sums(a, b, c)
+        for name, vec in (("r", r), ("c", c), ("u", u), ("p", p), ("q", q)):
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
         object.__setattr__(self, "a_total", a.total)
@@ -404,21 +404,17 @@ class PairKernelMatrices:
         return self.b.shape[0]
 
 
-def _u_and_p(a: PackedRows, b: np.ndarray, c: np.ndarray):
-    """u = einsum("ij,ij->i", A~, B~) and p = A~ c.
+def _pair_row_sums(a: PackedRows, b: np.ndarray, c: np.ndarray):
+    """u = einsum("ij,ij->i", A~, B~), p = A~ c and q = B~ r, the one route
+    by which any matrix-vector sum of the pair is taken.
 
-    With one block these are the dense expressions on A~ itself. Otherwise
     A~'s rows are rebuilt, a chunk at a time, into one buffer whose chunks
-    start at multiples of ``_GEMV_ROWS``: u is the same row-wise einsum, and
-    p is taken in slices of ``_GEMV_ROWS`` rows, which no BLAS thread split
-    can divide, so each entry is summed as by the dense ``a @ c`` on one
-    BLAS thread.
+    start at multiples of ``_GEMV_ROWS``: u is the row-wise einsum, and p
+    and q are taken in slices of ``_GEMV_ROWS`` rows of the rebuilt A~ and
+    of B~.
     """
-    if len(a.blocks) == 1:
-        (dense,) = a.blocks
-        return np.einsum("ij,ij->i", dense, b), dense @ c
     n = a.n
-    u, p = np.empty(n), np.empty(n)
+    u, p, q = np.empty(n), np.empty(n), np.empty(n)
     step = _rebuild_rows(n)
     buf = np.empty((step, n))
     for lo in range(0, n, step):
@@ -427,7 +423,8 @@ def _u_and_p(a: PackedRows, b: np.ndarray, c: np.ndarray):
         np.einsum("ij,ij->i", rows, b[lo:hi], out=u[lo:hi])
         for g in range(lo, hi, _GEMV_ROWS):
             np.matmul(rows[g - lo : g - lo + _GEMV_ROWS], c, out=p[g : g + _GEMV_ROWS])
-    return u, p
+            np.matmul(b[g : g + _GEMV_ROWS], a.r, out=q[g : g + _GEMV_ROWS])
+    return u, p, q
 
 
 def _kernel_matrix(spec: KernelPairSpec, data, side: int) -> np.ndarray:
@@ -443,9 +440,8 @@ def _kernel_matrix(spec: KernelPairSpec, data, side: int) -> np.ndarray:
 def build_pair_matrices(sample: Sample, spec: KernelPairSpec) -> PairKernelMatrices:
     """Packed A~ and read-only B~ for a pair-dependent kernel (dcov or ghsic).
 
-    A~ is packed and its dense matrix dropped before B~ is allocated, so the
-    two n x n matrices are never live together (for n <= 181 the packed A~
-    is A~ itself).
+    A~ is packed and its dense matrix dropped before B~ is allocated (for
+    n <= 181 the one packed block is a copy of the whole of A~).
     """
     if not spec.is_pair_dependent:
         raise fail("PAIR_KERNEL_REQUIRED", f"{spec.id} is not pair-dependent")

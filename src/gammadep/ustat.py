@@ -153,7 +153,7 @@ def _t1(blocks: tuple, b: np.ndarray, perm: np.ndarray) -> float:
     counts of ``kernels.walk_row_blocks`` keep the two gathered blocks
     within 512 KB; each block's numpy calls hold the GIL while they set
     up, so with two ``--threads`` workers fewer blocks mean fewer waits for
-    it. For n <= 181 there is one block, A~ itself, and one reduction.
+    it. For n <= 181 there is one block, a copy of A~, and one reduction.
     """
     n = b.shape[0]
     total = 0.0

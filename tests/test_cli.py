@@ -831,3 +831,52 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout.startswith("usage: gammadep")
+
+
+class TestBlasThreadCount:
+    """Reports depend only on the data, the flags and the seed, not on how
+    many threads the BLAS library runs. Each case runs in fresh interpreters,
+    since a BLAS library reads its thread count once, when it loads."""
+
+    @staticmethod
+    def _run(args, threads):
+        import gammadep
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gammadep.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        done = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr.decode()
+        return done.stdout
+
+    @pytest.mark.parametrize("n, kernel", [(700, "ghsic"), (1500, "dcov")])
+    def test_report_is_the_same_under_one_and_two_blas_threads(self, n, kernel, tmp_path):
+        # at this seed a dense B~ r split across two BLAS threads moves the
+        # last digit of sigma0_sq in both cases
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((n, 3))
+        data = np.column_stack([x, 0.5 * x[:, :2] + rng.standard_normal((n, 2))])
+        path = tmp_path / "data.csv"
+        rows = "\n".join(",".join(f"{v!r}" for v in row) for row in data.tolist())
+        path.write_text("x0,x1,x2,y0,y1\n" + rows + "\n", encoding="utf-8")
+        args = ["-m", "gammadep", "test", "--input", str(path), "--x-cols", "0..3", "--y-cols", "3..5"]
+        args += ["--kernel", kernel, "--B", "19", "--seed", "5", "--reproducible"]
+        one = self._run(args, 1)
+        assert b"sigma0_sq" in one
+        assert self._run(args, 2) == one
+
+    def test_pair_sums_are_the_same_under_one_and_two_blas_threads(self):
+        # n = 701: the last slice of p and q is a single row
+        script = (
+            "import sys, numpy as np\n"
+            "from gammadep import build_pair_matrices, resolve_kernel_spec, validate_sample\n"
+            "rng = np.random.default_rng(701)\n"
+            "x = rng.standard_normal((701, 3))\n"
+            "s = validate_sample(x, 0.5 * x[:, :2] + rng.standard_normal((701, 2)))\n"
+            "mats = build_pair_matrices(s, resolve_kernel_spec('ghsic', s))\n"
+            "sys.stdout.buffer.write(mats.p.tobytes() + mats.q.tobytes())\n"
+        )
+        one = self._run(["-c", script], 1)
+        assert len(one) == 2 * 701 * 8
+        assert self._run(["-c", script], 2) == one

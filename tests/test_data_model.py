@@ -1,6 +1,8 @@
 """Contract tests for the core value types."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -102,6 +104,16 @@ class TestGammaSet:
         assert normalize_gamma("inf") is INFINITY
         assert normalize_gamma("4") == 4
         assert gamma_label(INFINITY) == "inf"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_copies_and_pickles_keep_the_infinity_singleton(self, protocol):
+        # protocols 0 and 1 rebuild an object without calling __new__, so
+        # the singleton survives them only through _Infinity.__reduce__
+        assert copy.copy(INFINITY) is INFINITY and copy.deepcopy(INFINITY) is INFINITY
+        assert pickle.loads(pickle.dumps(INFINITY, protocol=protocol)) is INFINITY
+        g = pickle.loads(pickle.dumps(GammaSet.default(), protocol=protocol))
+        assert g == GammaSet.default() and list(g)[-1] is INFINITY
+        assert list(copy.deepcopy(g))[-1] is INFINITY
 
 
 class TestKernelPairSpec:
