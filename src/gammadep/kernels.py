@@ -15,11 +15,10 @@ and multiply-add work of a full n x n pass. ``median_bandwidth`` takes its
 median from that one matrix in place.
 
 ``pair_peak_bytes`` models a pair test's peak: the dense A~ with its packed
-row blocks, then those blocks with B~, plus the largest of the tile, the
-rebuild buffer and the live T1 gather blocks. ``build_pair_matrices`` and
-the ghsic median pass in ``resolve_kernel_spec`` compare it with
-MemAvailable before their first n x n allocation and refuse a run that
-cannot fit with TOO_LARGE.
+row blocks, then those blocks with B~, plus the larger of the tile and the
+live T1 gather blocks. ``build_pair_matrices`` and the ghsic median pass in
+``resolve_kernel_spec`` compare it with MemAvailable before their first
+n x n allocation and refuse a run that cannot fit with TOO_LARGE.
 
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
@@ -36,11 +35,12 @@ A ``PairKernelMatrices`` holds the packed A~ and the dense B~ that ``ustat``
 and ``variance`` share without copying. It also takes, once and on
 construction, every other O(n^2) reduction of the pair that a closed form
 reads: the row sums c, u_i = sum_j a_ij b_ij, p = A~ c and q = B~ r, the
-total B.. = sum c and the squared norm ||B~||^2. u, p and q are taken in
-one walk over A~'s rows, rebuilt from the blocks a chunk at a time into one
-reused buffer, with p and q in fixed slices of rows that no BLAS thread
-split divides. The triple reads r, c and the totals; the jackknife
-display and the permutation variance read only these sums, never a matrix.
+total B.. = sum c and the squared norm ||B~||^2. u, p and q are taken on
+the T1 walk's own blocks: each block's rows of A~ are rebuilt into one
+reused buffer and reduced by row einsums, so the module holds no matrix
+multiply and no sum depends on the BLAS thread count. The triple reads r, c
+and the totals; the jackknife display and the permutation variance read
+only these sums, never a matrix.
 The only other reduction of A~ and B~ is the triple's T1 gather.
 Constructing one for a kernel that is not pair-dependent raises
 PAIR_KERNEL_REQUIRED, so the fast paths that take a ``PairKernelMatrices``
@@ -75,16 +75,6 @@ _TILE_ELEMS = 1 << 16
 # L2, and a single block for every n <= 181.
 _GATHER_ELEMS = 1 << 15
 
-# Rows in one slice of the matrix-vector sums p = A~ c and q = B~ r. Each
-# slice is one small matmul that OpenBLAS does not split across BLAS
-# threads (scipy-openblas 0.3.31 on x86-64: the same bits under 1 and 2
-# threads for rows of up to 100,000 columns), so every entry is summed in
-# an order fixed by its slice alone, whatever the BLAS thread count. The
-# entries need not match a dense ``a @ c`` bit for bit: a one-row slice
-# (the last, when n % 4 == 1) is summed by another kernel than the tail of
-# the dense gemv.
-_GEMV_ROWS = 4
-
 # Read, never written, by the memory guard; absent outside Linux.
 _MEMINFO = "/proc/meminfo"
 
@@ -114,13 +104,6 @@ def walk_row_blocks(n: int) -> list:
     return spans
 
 
-def _rebuild_rows(n: int) -> int:
-    """Rows of the buffer that A~'s rows are rebuilt into: a multiple of
-    ``_GEMV_ROWS`` within one distance tile's elements, at least
-    ``_GEMV_ROWS`` and at most n."""
-    return min(n, max(_GEMV_ROWS, _TILE_ELEMS // n // _GEMV_ROWS * _GEMV_ROWS))
-
-
 def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
     """Byte model of the peak a pair-kernel test allocates at n rows.
 
@@ -129,18 +112,19 @@ def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
     bytes, P the elements of the blocks (about n^2 / 2, and n^2 for
     n <= 181, where the one block is a copy of A~). On top of that comes
     the largest of what is live in turn: the distance tile of the wider side
-    (d columns; 512 KB for d <= 16384), the buffer that u, p and q rebuild
-    A~'s rows into (at most one tile, or four rows of n), and the two live
-    T1 gather blocks per permutation worker (together at most 2 x 256 KB,
-    or two rows of n). ``workers`` defaults to, and is bounded by,
-    ``os.cpu_count()``. Within a few percent of the traced peak once the
-    matrices dominate.
+    (d columns; 512 KB for d <= 16384) and the two live T1 gather blocks
+    per permutation worker (together at most 2 x 256 KB, or two rows of n).
+    The buffer that u, p and q rebuild one walk block's rows into holds the
+    block's rows x n, at most 2 max(n, ``_GATHER_ELEMS``) elements, so one
+    worker's gather term covers it. ``workers`` defaults to, and is bounded
+    by, ``os.cpu_count()``. Within a few percent of the traced peak once
+    the matrices dominate.
     """
     cpus = os.cpu_count() or 1
     workers = cpus if workers is None else min(workers, cpus)
     packed = sum((hi - lo) * (n - lo) for lo, hi in walk_row_blocks(n))
     tile = min(n, _tile_side(d)) ** 2 * d
-    extra = max(tile, _rebuild_rows(n) * n, 2 * workers * max(n, _GATHER_ELEMS))
+    extra = max(tile, 2 * workers * max(n, _GATHER_ELEMS))
     return 8 * (n * n + packed + extra)
 
 
@@ -309,7 +293,8 @@ class PackedRows:
     order, plus the sums that read A~ alone, taken from the dense matrix
     before it was dropped: the row sums r (read-only), the total A.. and the
     squared norm ||A~||^2. For n <= 181 the one block is a copy of the
-    whole of A~. Built only by ``pack_rows``."""
+    whole of A~. Built only by ``pack_rows``; read only block by block, by
+    ``ustat._t1`` and by ``_pair_row_sums``, both on the walk's schedule."""
 
     blocks: tuple
     r: np.ndarray
@@ -319,27 +304,6 @@ class PackedRows:
     @property
     def n(self) -> int:
         return self.r.shape[0]
-
-    def rows(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """A~[lo:hi, :], rebuilt from the blocks into ``out`` (a new array
-        if None). A row i of block [b0, b1) holds A~[i, b0:]; its columns
-        before b0 are, by symmetry, columns i - b0' of the earlier blocks."""
-        n = self.n
-        if out is None:
-            out = np.empty((hi - lo, n))
-        for blk in self.blocks:
-            h, w = blk.shape
-            b0 = n - w
-            if b0 >= hi:
-                break
-            b1 = b0 + h
-            if lo < b1:
-                i0, i1 = max(lo, b0), min(hi, b1)
-                out[i0 - lo : i1 - lo, b0:] = blk[i0 - b0 : i1 - b0]
-            if hi > b1:
-                i0 = max(lo, b1)
-                out[i0 - lo :, b0:b1] = blk[:, i0 - b0 : hi - b0].T
-        return out
 
 
 def pack_rows(a: np.ndarray) -> PackedRows:
@@ -408,22 +372,25 @@ def _pair_row_sums(a: PackedRows, b: np.ndarray, c: np.ndarray):
     """u = einsum("ij,ij->i", A~, B~), p = A~ c and q = B~ r, the one route
     by which any matrix-vector sum of the pair is taken.
 
-    A~'s rows are rebuilt, a chunk at a time, into one buffer whose chunks
-    start at multiples of ``_GEMV_ROWS``: u is the row-wise einsum, and p
-    and q are taken in slices of ``_GEMV_ROWS`` rows of the rebuilt A~ and
-    of B~.
+    The rows follow the T1 walk's blocks: for each block [lo, hi), its
+    stored A~[lo:hi, lo:] fills columns lo: of one reused buffer, and the
+    earlier blocks' columns lo:hi, transposed, fill columns :lo (A~ is
+    symmetric). u, p and q are then one row einsum each, over the rebuilt
+    rows and B~[lo:hi], so no BLAS call takes part.
     """
     n = a.n
     u, p, q = np.empty(n), np.empty(n), np.empty(n)
-    step = _rebuild_rows(n)
-    buf = np.empty((step, n))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        rows = a.rows(lo, hi, buf[: hi - lo])
+    spans = walk_row_blocks(n)
+    buf = np.empty(max(hi - lo for lo, hi in spans) * n)
+    for k, (lo, hi) in enumerate(spans):
+        rows = buf[: (hi - lo) * n].reshape(hi - lo, n)
+        rows[:, lo:] = a.blocks[k]
+        if lo:
+            earlier = [blk[:, lo - b0 : hi - b0] for (b0, _), blk in zip(spans[:k], a.blocks)]
+            np.concatenate(earlier, out=rows[:, :lo].T)
         np.einsum("ij,ij->i", rows, b[lo:hi], out=u[lo:hi])
-        for g in range(lo, hi, _GEMV_ROWS):
-            np.matmul(rows[g - lo : g - lo + _GEMV_ROWS], c, out=p[g : g + _GEMV_ROWS])
-            np.matmul(b[g : g + _GEMV_ROWS], a.r, out=q[g : g + _GEMV_ROWS])
+        np.einsum("ij,j->i", rows, c, out=p[lo:hi])
+        np.einsum("ij,j->i", b[lo:hi], a.r, out=q[lo:hi])
     return u, p, q
 
 

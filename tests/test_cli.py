@@ -867,7 +867,7 @@ class TestBlasThreadCount:
         assert self._run(args, 2) == one
 
     def test_pair_sums_are_the_same_under_one_and_two_blas_threads(self):
-        # n = 701: the last slice of p and q is a single row
+        # n = 701: p and q are taken over 12 walk blocks
         script = (
             "import sys, numpy as np\n"
             "from gammadep import build_pair_matrices, resolve_kernel_spec, validate_sample\n"

@@ -616,7 +616,7 @@ PINNED_REPORT = {
     "combiners": ["fisher", "min", "cauchy"],
     "tie_mode": "strict",
     "stat_triple": {"s1": 3.2530703810243615, "s2": 3.1112503616668232, "s3": 3.1196907288405527},
-    "sigma0_sq": 0.033914562293759436,
+    "sigma0_sq": 0.03391456229375943,
     "per_gamma": {
         "1": {"mu_hat": 0.12493928501007945, "scaled_stat": 3.7481785503023834, "p_perm": 0.02, "p_asym": None},
         "2": {

@@ -18,6 +18,7 @@ from gammadep import (
     jackknife_fast,
     median_bandwidth,
     pack_rows,
+    pairwise_dcov,
     permutation_sigma0_sq,
     validate_sample,
 )
@@ -180,7 +181,8 @@ class TestPermutationVariance:
         s = make_sample(rng, 12, dependent=True)
         mats = build_pair_matrices(s, KernelPairSpec.dcov())
         off = 5.0 * (1.0 - np.eye(12))
-        shifted = type(mats)(pack_rows(mats.a.rows(0, 12) + off), mats.b + 2.0 * off, mats.spec)
+        a = pairwise_dcov(s.x)  # A~ itself: a dcov diagonal is already 0
+        shifted = type(mats)(pack_rows(a + off), mats.b + 2.0 * off, mats.spec)
         assert permutation_sigma0_sq(shifted) == pytest.approx(
             permutation_sigma0_sq(mats), rel=1e-12
         )
