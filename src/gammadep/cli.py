@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--B", type=int, default=200, help="permutation count")
     t.add_argument("--combiners", default="fisher,min,cauchy")
     t.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
-    t.add_argument("--threads", type=int, default=None, help="worker cap (results invariant); falls back to GAMMADEP_THREADS")
+    t.add_argument("--threads", type=int, default=None, help="worker process cap (results invariant); falls back to GAMMADEP_THREADS")
     _add_common(t, "json")
     t.set_defaults(fn=_cmd_test)
 
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--combiners", default="fisher,min,cauchy")
     s.add_argument("--kernel", choices=("dcov", "ghsic"), default="dcov")
     s.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
-    s.add_argument("--threads", type=int, default=None, help="worker cap (results invariant); falls back to GAMMADEP_THREADS")
+    s.add_argument("--threads", type=int, default=None, help="worker process cap (results invariant); falls back to GAMMADEP_THREADS")
     _add_common(s, "text")
     s.set_defaults(fn=_cmd_simulate)
 

@@ -1,7 +1,7 @@
 """Core value types shared by every other module.
 
 All types here are immutable after construction and safe to share across
-worker threads. Construction is a pure function of the inputs: building the
+threads and forked worker processes. Construction is a pure function of the inputs: building the
 same Sample twice yields arrays that are equal byte for byte.
 """
 

@@ -11,10 +11,13 @@ replicate runs only the first two:
    (kernel matrices are built once: permuting y rows permutes the rows and
    columns of B, so each replicate is a row-blocked gather of B against A,
    about 256 KB per block with no n x n temporary, plus O(n) reductions).
-   From n = 675 on (``_THREADED_MIN_N``, where a second thread was
-   measured to pay; the gathers release the GIL) b = 1..B runs as
-   ``min(threads, cpu count)`` contiguous blocks on worker threads. The
-   (B+1) x L pool is then scaled once by the rate row ``rate_w(n, gamma)``;
+   From B n^2 >= ``_FORK_MIN_WORK`` on (where a forked worker was measured
+   to pay) b = 1..B runs as ``min(threads, cpu count)`` contiguous blocks:
+   the calling process runs the first and a forked child each other one,
+   reading A and B copy-on-write and sending back its rows of mu_hat
+   through a pipe. Fork is used on Linux only; elsewhere the blocks run
+   serially. The (B+1) x L pool is then scaled once by the rate row
+   ``rate_w(n, gamma)``;
 3. per-exponent p-values, one row per pool member, each column ranked
    leave-one-out inside the shared pool with the add-one rule;
 4. combined statistics (fisher / min / cauchy) for every pool member, each
@@ -24,7 +27,7 @@ replicate runs only the first two:
    original's.
 
 Every permutation is a pure function of (seed, b) through a counter-based
-generator, so reports are identical regardless of thread count or
+generator, so reports are identical regardless of worker count or
 execution order.
 """
 
@@ -32,8 +35,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +62,19 @@ from .variance import jackknife_fast, permutation_sigma0_sq
 
 COMBINERS = ("fisher", "min", "cauchy")
 
-# Smallest n whose permutations run on worker threads. One dcov test's
-# B = 200 at d = 5 on 2 cores, medians of 9, serial vs 2 blocks: n = 500
-# 232 vs 235 ms, n = 650 287 vs 309 ms, n = 675 386 vs 250 ms, n = 1500
-# 1972 vs 1117 ms.
-_THREADED_MIN_N = 675
+# Smallest B n^2 whose permutation blocks run in forked workers. A dcov
+# pool at d = 5 on 2 cores, serial against 2 processes, 11 alternating
+# calls: B = 50 at n = 200 (2e6) and B = 19 at n = 400 and 500 (3e6, 4.8e6)
+# were faster forked in 6, 7 and 5 of 11; every cell from 8e6 on, B = 19
+# to 200, won at least 9 of 11.
+_FORK_MIN_WORK = 8_000_000
 
 _MASK64 = (1 << 64) - 1
 
 # One Philox generator per thread, re-keyed for every draw: building a fresh
-# Philox(key=...) also builds a SeedSequence that reads OS entropy. Worker
-# threads draw at the same time, so they cannot share one.
+# Philox(key=...) also builds a SeedSequence that reads OS entropy. A
+# library caller's threads may draw at the same time, so they cannot share
+# one.
 _DRAW = threading.local()
 
 
@@ -235,11 +242,10 @@ def permutation_pool(
         for b in range(lo, hi):
             mu[b] = gamma_stats(core.triple(plan.permutation(b, n)), gammas)
 
-    workers = min(threads, os.cpu_count() or 1) if n >= _THREADED_MIN_N else 1
-    if workers > 1:
+    workers = min(threads, os.cpu_count() or 1) if b_count * n * n >= _FORK_MIN_WORK else 1
+    if workers > 1 and sys.platform == "linux" and hasattr(os, "fork"):
         edges = [1 + b_count * k // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, edges[:-1], edges[1:]))
+        _forked_fill(fill, mu, list(zip(edges[:-1], edges[1:])))
     else:
         fill(1, b_count + 1)
     scaled = mu * np.array([rate_w(n, g) for g in glist])
@@ -248,6 +254,78 @@ def permutation_pool(
         bad = ", ".join(str(g) for g, ok in zip(glist, finite) if not ok)
         raise fail("NONFINITE", f"scaled statistic overflows float64 at gamma {bad}")
     return core, triple0, mu, scaled
+
+
+def _forked_fill(fill, rows: np.ndarray, blocks: list) -> None:
+    """Run ``fill(lo, hi)`` for every (lo, hi) block into ``rows``: the first
+    block in this process, each other non-empty one in a forked child that
+    sends its float64 rows back through a pipe and leaves by ``os._exit``.
+
+    Blocks are read in order, so of several failing blocks the lowest one's
+    error is raised: a child's exception is pickled back and raised as it
+    is, and a child killed by a signal or that sends too few bytes gives
+    WORKER_FAILED. Every child is reaped before this returns or raises; on
+    any error, KeyboardInterrupt too, the ones still running are killed.
+    """
+    children = []  # [pid, read fd, lo, hi]; pid is None when none is running
+    try:
+        for lo, hi in blocks[1:]:
+            if lo == hi:
+                continue
+            r, w = os.pipe()
+            children.append([None, r, lo, hi])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child_fill(fill, rows, lo, hi, w)
+                children[-1][0] = pid
+            finally:
+                os.close(w)
+        fill(*blocks[0])
+        for child in children:
+            pid, r, lo, hi = child
+            payload = bytearray()
+            while chunk := os.read(r, 1 << 16):
+                payload += chunk
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            want = rows[lo:hi].nbytes
+            if status == 0 and len(payload) == want:
+                rows[lo:hi] = np.frombuffer(payload, dtype=rows.dtype).reshape(rows[lo:hi].shape)
+                continue
+            if status == 1 and payload:
+                raise pickle.loads(payload)
+            how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+            raise fail(
+                "WORKER_FAILED",
+                f"permutation worker for b = {lo}..{hi - 1} ended with {how} "
+                f"after sending {len(payload)} of {want} bytes",
+            )
+    finally:
+        running = [pid for pid, *_ in children if pid is not None]
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            os.waitpid(pid, 0)
+        for _, r, *_ in children:
+            os.close(r)
+
+
+def _child_fill(fill, rows: np.ndarray, lo: int, hi: int, w: int):
+    """In a forked child: fill rows [lo, hi) and write them to fd ``w`` with
+    exit status 0, or write the pickled exception with status 1. Never
+    returns, so no code of the parent's stack runs twice."""
+    status = 1
+    try:
+        try:
+            fill(lo, hi)
+            payload, status = rows[lo:hi].tobytes(), 0
+        except BaseException as exc:
+            payload = pickle.dumps(exc)
+        with open(w, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(status)
 
 
 def permutation_pvalues(scaled: np.ndarray, combiners: tuple, tie_mode: str):

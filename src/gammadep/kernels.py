@@ -113,7 +113,8 @@ def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
     n <= 181, where the one block is a copy of A~). On top of that comes
     the largest of what is live in turn: the distance tile of the wider side
     (d columns; 512 KB for d <= 16384) and the two live T1 gather blocks
-    per permutation worker (together at most 2 x 256 KB, or two rows of n).
+    per permutation worker process (together at most 2 x 256 KB, or two
+    rows of n; the matrices are shared copy-on-write, not copied).
     The buffer that u, p and q rebuild one walk block's rows into holds the
     block's rows x n, at most 2 max(n, ``_GATHER_ELEMS``) elements, so one
     worker's gather term covers it. ``workers`` defaults to, and is bounded

@@ -328,10 +328,11 @@ def size_power_experiment(
     The combiners and tie mode are checked once, before any draw. Each
     replication runs the permutation pool and its p-values, not a full
     ``permutation_test`` (no jackknife, no report), and keeps row 0 of its
-    p-value matrix. The pool splits its permutations over ``threads`` only
-    from ``inference._THREADED_MIN_N`` (675) on. Each replication derives
-    its data and permutation seeds from (cfg.seed, rep), so the table is
-    reproducible from the config alone and invariant to thread count.
+    p-value matrix. The pool splits its permutations over ``threads``
+    forked worker processes only from B n^2 >= ``inference._FORK_MIN_WORK``
+    (8e6) on. Each replication derives its data and permutation seeds from
+    (cfg.seed, rep), so the table is reproducible from the config alone and
+    invariant to the worker count.
     """
     if cfg.reps < 100:
         raise fail("TOO_FEW_REPS", f"need reps >= 100, got {cfg.reps}")

@@ -151,9 +151,8 @@ def _t1(blocks: tuple, b: np.ndarray, perm: np.ndarray) -> float:
     so a permutation that leaves B~ unchanged (the identity, or swapping two
     identical y rows) reproduces the unpermuted T1 bit for bit. The row
     counts of ``kernels.walk_row_blocks`` keep the two gathered blocks
-    within 512 KB; each block's numpy calls hold the GIL while they set
-    up, so with two ``--threads`` workers fewer blocks mean fewer waits for
-    it. For n <= 181 there is one block, a copy of A~, and one reduction.
+    within 512 KB. For n <= 181 there is one block, a copy of A~, and one
+    reduction.
     """
     n = b.shape[0]
     total = 0.0

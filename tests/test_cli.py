@@ -288,6 +288,31 @@ class TestTestCommand:
         for entry in doc["combined"].values():
             assert entry["p_perm"] == 1.0
 
+    def test_killed_permutation_worker_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # B n^2 = 61 x 400^2 forks one child for b = 31..61, which kills itself
+        import signal
+
+        data = np.random.default_rng(12).standard_normal((400, 4))
+        path = tmp_path / "big.csv"
+        rows = "\n".join(",".join(f"{v!r}" for v in row) for row in data.tolist())
+        path.write_text("a,b,c,d\n" + rows + "\n", encoding="utf-8")
+        parent, real = os.getpid(), PermutationPlan.permutation
+
+        def permutation(self, b, n):
+            if b == 45 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(self, b, n)
+
+        monkeypatch.setattr(PermutationPlan, "permutation", permutation)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["test", "--input", str(path), "--x-cols", "0..2", "--y-cols", "2..4", "--B", "61", "--seed", "1"]
+        assert main(argv + ["--threads", "2"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "WORKER_FAILED" in captured.err and "killed by signal 9" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_duplicate_header_name_is_data_error(self, tmp_path, capsys):
         data = np.random.default_rng(11).standard_normal((20, 3))
         path = tmp_path / "dup.csv"

@@ -2,7 +2,6 @@
 pooling mechanics re-derived by hand, and seeded determinism."""
 
 import math
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from gammadep import (
 )
 from gammadep.errors import fail
 from gammadep.inference import (
-    _THREADED_MIN_N,
+    _FORK_MIN_WORK,
     _pool_pvalues,
     derive_seed,
     permutation_pool,
@@ -255,22 +254,52 @@ class TestPermutationPlan:
 
 
 def record_pools(monkeypatch, cpu_count):
-    """Patch the CPU count and record the max_workers of every thread pool
-    ``permutation_test`` opens."""
+    """Patch the CPU count and record the number of blocks of every forked
+    fill ``permutation_pool`` runs."""
     import os
 
     from gammadep import inference
 
     seen = []
-    real_pool = inference.ThreadPoolExecutor
+    real_fill = inference._forked_fill
 
-    def recording_pool(max_workers):
-        seen.append(max_workers)
-        return real_pool(max_workers=max_workers)
+    def recording_fill(fill, rows, blocks):
+        seen.append(len(blocks))
+        return real_fill(fill, rows, blocks)
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    monkeypatch.setattr(inference, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(inference, "_forked_fill", recording_fill)
     return seen
+
+
+def fork_min_n(b_count):
+    """The smallest n whose b_count permutations run in forked workers."""
+    return math.isqrt(-(-_FORK_MIN_WORK // b_count) - 1) + 1
+
+
+def assert_no_child():
+    """Every child this process forked has been reaped."""
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_at(monkeypatch, action, bs):
+    """Patch ``PermutationPlan.permutation`` to call ``action(b)`` before it
+    draws any b in ``bs``. Patched before the fork, so children inherit it."""
+    real = PermutationPlan.permutation
+
+    def permutation(self, b, n):
+        if b in bs:
+            action(b)
+        return real(self, b, n)
+
+    monkeypatch.setattr(PermutationPlan, "permutation", permutation)
+
+
+def overflow(b):
+    raise fail("NONFINITE", f"injected overflow at b = {b}")
 
 
 def small_sample(seed=0, n=30, dependent=False):
@@ -369,9 +398,9 @@ class TestPermutationTest:
         assert report.per_gamma[1].p_perm == pytest.approx((1 + count) / 51.0, abs=1e-12)
 
     def test_seeded_determinism_and_thread_invariance(self, monkeypatch):
-        # the smallest n whose permutations run on threads; B = 61 splits
-        # into uneven blocks over 4 workers
-        sample = small_sample(4, n=_THREADED_MIN_N)
+        # the smallest n whose permutations run in forked workers; B = 61
+        # splits into uneven blocks over 4 workers
+        sample = small_sample(4, n=fork_min_n(61))
         spec = KernelPairSpec.dcov()
         gammas = GammaSet.default()
         a = permutation_test(sample, spec, gammas, PermutationPlan(61, 5), threads=1)
@@ -382,9 +411,10 @@ class TestPermutationTest:
         assert a.combined == b.combined
         assert a.triple == b.triple
         assert a.sigma0_sq == b.sigma0_sq
+        assert_no_child()
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        sample = small_sample(14, n=_THREADED_MIN_N)
+        sample = small_sample(14, n=fork_min_n(30))
         spec = KernelPairSpec.dcov()
         gammas = GammaSet((1, 2, INFINITY))
         serial = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=1)
@@ -393,15 +423,19 @@ class TestPermutationTest:
         assert seen == [2]
         assert capped == serial
 
-    def test_below_threaded_n_starts_no_pool(self, monkeypatch):
-        sample = small_sample(15, n=_THREADED_MIN_N - 1)
+    def test_fork_threshold_boundary(self, monkeypatch):
+        # B n^2 at n = 200: B = 199 is just below the threshold, B = 200 at it
+        assert 200 * 200**2 == _FORK_MIN_WORK
+        sample = small_sample(15, n=200)
         spec = KernelPairSpec.dcov()
         gammas = GammaSet((1, 2, INFINITY))
-        serial = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=1)
+        serial = [permutation_test(sample, spec, gammas, PermutationPlan(b, 9), threads=1) for b in (199, 200)]
         seen = record_pools(monkeypatch, cpu_count=8)
-        threaded = permutation_test(sample, spec, gammas, PermutationPlan(30, 9), threads=8)
+        below = permutation_test(sample, spec, gammas, PermutationPlan(199, 9), threads=8)
         assert seen == []
-        assert threaded == serial
+        at = permutation_test(sample, spec, gammas, PermutationPlan(200, 9), threads=8)
+        assert seen == [8]
+        assert [below, at] == serial
 
     def test_rate_row_built_once_per_test(self, monkeypatch):
         # rate_w depends only on (n, gamma): L calls per test, while the
@@ -428,22 +462,27 @@ class TestPermutationTest:
         assert len(stats) == 41
 
     def test_error_in_a_worker_propagates(self, monkeypatch):
-        from gammadep import inference
+        # B = 61 over 2 workers: the child runs b = 31..61
+        self._check_worker_error(monkeypatch, 2, {45})
 
-        real = inference.gamma_stats
+    def test_lowest_failing_block_wins(self, monkeypatch):
+        # over 4 workers b = 40 and 50 fail in the third and fourth blocks
+        self._check_worker_error(monkeypatch, 4, {40, 50})
 
-        def overflow_off_the_main_thread(triple, gammas):
-            if threading.current_thread() is not threading.main_thread():
-                raise fail("NONFINITE", "injected overflow")
-            return real(triple, gammas)
-
-        seen = record_pools(monkeypatch, cpu_count=2)
-        monkeypatch.setattr(inference, "gamma_stats", overflow_off_the_main_thread)
-        sample = small_sample(16, n=_THREADED_MIN_N)
+    @staticmethod
+    def _check_worker_error(monkeypatch, cpus, bad):
+        sample = small_sample(16, n=fork_min_n(61))
+        args = (sample, KernelPairSpec.dcov(), GammaSet((1,)), PermutationPlan(61, 1))
+        fail_at(monkeypatch, overflow, bad)
+        with pytest.raises(GammadepError) as serial:
+            permutation_test(*args, threads=1)
+        seen = record_pools(monkeypatch, cpu_count=cpus)
         with pytest.raises(GammadepError) as exc:
-            permutation_test(sample, KernelPairSpec.dcov(), GammaSet((1,)), PermutationPlan(20, 1), threads=2)
-        assert exc.value.code == "NONFINITE"
-        assert seen == [2]
+            permutation_test(*args, threads=cpus)
+        assert seen == [cpus]
+        assert exc.value.code == serial.value.code == "NONFINITE"
+        assert str(exc.value) == str(serial.value) == f"NONFINITE: injected overflow at b = {min(bad)}"
+        assert_no_child()
 
     def test_constant_y_degenerate_path(self):
         x = np.random.default_rng(6).standard_normal((20, 2))
@@ -521,6 +560,111 @@ class TestPermutationTest:
         assert report.sigma0_sq is None
         assert all(r.p_asym is None for r in report.per_gamma.values())
         assert all(0 < r.p_perm <= 1 for r in report.per_gamma.values())
+
+
+class TestForkedWorkers:
+    """Failures and fork safety of the forked permutation blocks. B = 61
+    over 2 workers: this process runs b = 1..30 and one child b = 31..61."""
+
+    @staticmethod
+    def _args(seed, gammas=GammaSet((1,))):
+        sample = small_sample(seed, n=fork_min_n(61))
+        return sample, KernelPairSpec.dcov(), gammas, PermutationPlan(61, 1)
+
+    @pytest.mark.parametrize("how", ["killed", "silent"])
+    def test_a_dead_worker_is_worker_failed(self, how, monkeypatch):
+        import os
+        import signal
+
+        parent = os.getpid()
+
+        def die(b):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+
+        fail_at(monkeypatch, die, {45})
+        seen = record_pools(monkeypatch, cpu_count=2)
+        with pytest.raises(GammadepError) as exc:
+            permutation_test(*self._args(17), threads=2)
+        assert seen == [2]
+        assert exc.value.code == "WORKER_FAILED"
+        expected = "killed by signal 9" if how == "killed" else "exit status 0 after sending 0 of 248 bytes"
+        assert expected in str(exc.value)
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [fail("NONFINITE", "injected overflow"), KeyboardInterrupt()])
+    def test_an_error_in_this_process_block_reaps_the_child(self, error, monkeypatch):
+        def raise_error(b):
+            raise error
+
+        fail_at(monkeypatch, raise_error, {30})
+        seen = record_pools(monkeypatch, cpu_count=2)
+        with pytest.raises(type(error)) as exc:
+            permutation_test(*self._args(18), threads=2)
+        assert seen == [2]
+        assert exc.value is error
+        assert_no_child()
+
+    def test_elsewhere_than_linux_the_blocks_run_serially(self, monkeypatch):
+        import os
+        import sys
+
+        args = self._args(19, GammaSet.default())
+        serial = permutation_test(*args, threads=1)
+        seen = record_pools(monkeypatch, cpu_count=2)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert permutation_test(*args, threads=2) == serial
+        assert seen == []
+
+    def test_fork_with_a_live_blas_thread_pool(self):
+        # the BLAS pool is running when the pool forks, and the child runs a
+        # matrix product itself; under -W error a fork warning fails the run
+        import os
+        import subprocess
+        import sys
+
+        import gammadep
+
+        script = (
+            "import os\n"
+            "import numpy as np\n"
+            "from gammadep import GammaSet, KernelPairSpec, PermutationPlan, permutation_test, validate_sample\n"
+            "m = np.random.default_rng(0).standard_normal((600, 600))\n"
+            "mm = m @ m\n"
+            "real_perm, real_fork, forks = PermutationPlan.permutation, os.fork, []\n"
+            "def permutation(self, b, n):\n"
+            "    if b == 19 and not np.allclose(m @ m, mm):\n"
+            "        raise AssertionError('matrix product differs in the child')\n"
+            "    return real_perm(self, b, n)\n"
+            "def fork():\n"
+            "    pid = real_fork()\n"
+            "    if pid:\n"
+            "        forks.append(pid)\n"
+            "    return pid\n"
+            "PermutationPlan.permutation, os.fork, os.cpu_count = permutation, fork, lambda: 2\n"
+            "rng = np.random.default_rng(700)\n"
+            "x = rng.standard_normal((700, 3))\n"
+            "s = validate_sample(x, 0.5 * x[:, :2] + rng.standard_normal((700, 2)))\n"
+            "args = (s, KernelPairSpec.dcov(), GammaSet.default(), PermutationPlan(19, 3))\n"
+            "one = permutation_test(*args, threads=1)\n"
+            "assert not forks\n"
+            "assert permutation_test(*args, threads=2) == one\n"
+            "assert len(forks) == 1\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gammadep.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script], capture_output=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestPoolProperties:

@@ -396,21 +396,22 @@ class TestSizePowerExperiment:
         from gammadep import inference
 
         seen = []
-        real_pool = inference.ThreadPoolExecutor
+        real_fill = inference._forked_fill
 
-        def recording_pool(max_workers):
-            seen.append((sys._getframe(1).f_code.co_name, max_workers))
-            return real_pool(max_workers=max_workers)
+        def recording_fill(fill, rows, blocks):
+            seen.append((sys._getframe(1).f_code.co_name, len(blocks)))
+            return real_fill(fill, rows, blocks)
 
-        # from inference._THREADED_MIN_N every replication's permutation pool
-        # splits its permutations over a thread pool; n = 12: no pool at all
-        threaded_n = inference._THREADED_MIN_N
-        for n, pools in ((threaded_n, [("permutation_pool", 2)] * 100), (12, [])):
-            cfg = SimConfig(model="null-b", n=n, d1=2, d2=2, reps=100, b_count=9, seed=56)
+        # from B n^2 = inference._FORK_MIN_WORK on every replication's
+        # permutation pool splits its permutations over forked workers
+        # (B = 200, n = 200: 8e6, n = 199 is below); n = 12: no fork at all
+        assert 200 * 199**2 < inference._FORK_MIN_WORK <= 200 * 200**2
+        for n, pools in ((200, [("permutation_pool", 2)] * 100), (12, [])):
+            cfg = SimConfig(model="null-b", n=n, d1=2, d2=2, reps=100, b_count=200, seed=56)
             with monkeypatch.context() as patch:
                 serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)
                 patch.setattr(os, "cpu_count", lambda: 2)
-                patch.setattr(inference, "ThreadPoolExecutor", recording_pool)
+                patch.setattr(inference, "_forked_fill", recording_fill)
                 capped = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=8)
             assert seen == pools
             assert capped == serial
