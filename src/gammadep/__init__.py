@@ -29,12 +29,10 @@ from .inference import (
     permutation_test,
 )
 from .kernels import (
-    PackedRows,
     PairKernelMatrices,
     build_pair_matrices,
     kernel_values,
     median_bandwidth,
-    pack_rows,
     pairwise_dcov,
     pairwise_ghsic,
     resolve_kernel_spec,
@@ -74,7 +72,6 @@ __all__ = [
     "GammaSet",
     "GammadepError",
     "KernelPairSpec",
-    "PackedRows",
     "PairKernelMatrices",
     "PermutationPlan",
     "PopulationTriple",
@@ -102,7 +99,6 @@ __all__ = [
     "mc_population_triple",
     "median_bandwidth",
     "normalize_gamma",
-    "pack_rows",
     "pairwise_dcov",
     "pairwise_ghsic",
     "permutation_sigma0_sq",

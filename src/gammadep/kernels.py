@@ -23,25 +23,29 @@ n x n allocation and refuse a run that cannot fit with TOO_LARGE.
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
 therefore zeroes both diagonals once and freezes the arrays. A~ is read
-after construction only by the T1 walk in ``ustat``, and only in its
-upper-triangle row blocks A~[lo:hi, lo:] (``walk_row_blocks`` owns that
-schedule). So ``pack_rows`` takes the sums that read A~ alone (its row sums
-r, total A.. and squared norm ||A~||^2) from the dense matrix, copies each
-walk block into its own read-only array, and the dense A~ is dropped
-before B~ is allocated: a pair test peaks at about 1.5 n x n instead of 2.
-For n <= 181 the walk is one block, a copy of the whole of A~.
+after construction only on the T1 walk, and only in its upper-triangle row
+blocks A~[lo:hi, lo:] (``walk_row_blocks`` owns that schedule). So
+``pack_rows`` takes the sums that read A~ alone (its row sums r, total A..
+and squared norm ||A~||^2) from the dense matrix, copies each walk block
+into its own read-only array, and the dense A~ is dropped before B~ is
+allocated: a pair test peaks at about 1.5 n x n instead of 2. For n <= 181
+the walk is one block, a copy of the whole of A~.
 
-A ``PairKernelMatrices`` holds the packed A~ and the dense B~ that ``ustat``
-and ``variance`` share without copying. It also takes, once and on
-construction, every other O(n^2) reduction of the pair that a closed form
-reads: the row sums c, u_i = sum_j a_ij b_ij, p = A~ c and q = B~ r, the
-total B.. = sum c and the squared norm ||B~||^2. u, p and q are taken on
-the T1 walk's own blocks: each block's rows of A~ are rebuilt into one
-reused buffer and reduced by row einsums, so the module holds no matrix
-multiply and no sum depends on the BLAS thread count. The triple reads r, c
-and the totals; the jackknife display and the permutation variance read
-only these sums, never a matrix.
-The only other reduction of A~ and B~ is the triple's T1 gather.
+A ``PairKernelMatrices`` holds the packed A~ and the dense B~, and is the
+one place that sums them. Permuting the y rows by pi turns B~ into
+B~[pi][:, pi], whose row sums are c[pi], so a permuted triple in ``ustat``
+needs only two sums, which ``permuted_sums`` returns: T1(pi) =
+<A~, B~[pi][:, pi]> by the walk (``_t1``, which builds no n x n
+temporary) and S(pi) = r . c[pi] by one einsum.
+
+It also takes, once and on construction, every other O(n^2) reduction of
+the pair that a closed form reads: the row sums c, u_i = sum_j a_ij b_ij,
+p = A~ c and q = B~ r, the total B.. = sum c and the squared norm ||B~||^2.
+u, p and q are taken on the T1 walk's own blocks: each block's rows of A~
+are rebuilt into one reused buffer and reduced by row einsums, so the
+module holds no matrix multiply and no sum depends on the BLAS thread
+count. The jackknife display and the permutation variance read only these
+sums, never a matrix.
 Constructing one for a kernel that is not pair-dependent raises
 PAIR_KERNEL_REQUIRED, so the fast paths that take a ``PairKernelMatrices``
 need no check of their own, and one whose row sums are not finite (a
@@ -70,7 +74,7 @@ F2 = "f2"
 # keeps n = 100, d = 5 in one tile.
 _TILE_ELEMS = 1 << 16
 
-# Elements in one T1 gather block in ``ustat`` (256 KB of float64); a
+# Elements in one T1 gather block of ``_t1`` (256 KB of float64); a
 # block's two gathers together hold at most twice this. Small enough for
 # L2, and a single block for every n <= 181.
 _GATHER_ELEMS = 1 << 15
@@ -86,7 +90,7 @@ def _tile_side(d: int) -> int:
 
 def walk_row_blocks(n: int) -> list:
     """The row blocks [lo, hi) of the T1 walk, the one schedule that both
-    ``pack_rows`` and ``ustat._t1`` follow.
+    ``pack_rows`` and ``_t1`` follow.
 
     A block from row lo holds ``2 * _GATHER_ELEMS // (2n - lo)`` rows, so its
     two gathered blocks (rows x n, then rows x (n - lo)) together hold at
@@ -295,7 +299,7 @@ class PackedRows:
     before it was dropped: the row sums r (read-only), the total A.. and the
     squared norm ||A~||^2. For n <= 181 the one block is a copy of the
     whole of A~. Built only by ``pack_rows``; read only block by block, by
-    ``ustat._t1`` and by ``_pair_row_sums``, both on the walk's schedule."""
+    ``_t1`` and by ``_pair_row_sums``, both on the walk's schedule."""
 
     blocks: tuple
     r: np.ndarray
@@ -367,6 +371,46 @@ class PairKernelMatrices:
     @property
     def n(self) -> int:
         return self.b.shape[0]
+
+    def permuted_sums(self, perm: np.ndarray) -> tuple:
+        """(T1(pi), S(pi)) with the y rows permuted by ``perm``: T1 by the
+        walk (``_t1``) and S = r . c[pi] by one einsum, both summed in an
+        order fixed by n alone, never by a BLAS thread count."""
+        return _t1(self.a.blocks, self.b, perm), float(np.einsum("i,i->", self.r, self.c[perm]))
+
+
+def _t1(blocks: tuple, b: np.ndarray, perm: np.ndarray) -> float:
+    """T1 = <A~, B~[perm][:, perm]>, with A~ given as its stored walk blocks
+    (``PackedRows.blocks``).
+
+    A~ and the permuted B~ are both symmetric, so only the upper triangle of
+    blocks is walked. The stored block of rows [lo, hi) (h = hi - lo) is
+    A~[lo:hi, lo:], so lo = n minus its width. For each, the columns from lo
+    on of the permuted B~ are gathered (rows, then columns: a rows x n
+    block, then a rows x (n - lo) block, the only two live at once), and
+
+        T1 = sum over blocks of 2 <blk[:, h:], A~[lo:hi, hi:]>
+                              + <blk[:, :h], A~[lo:hi, lo:hi]>.
+
+    Each term is one einsum reduction that builds no product block; einsum,
+    unlike a BLAS dot, sums in an order fixed by the operands' shapes alone,
+    so a permutation that leaves B~ unchanged (the identity, or swapping two
+    identical y rows) reproduces the unpermuted T1 bit for bit. The row
+    counts of ``walk_row_blocks`` keep the two gathered blocks within
+    512 KB. For n <= 181 there is one block, a copy of A~, and one
+    reduction.
+    """
+    n = b.shape[0]
+    total = 0.0
+    for a_blk in blocks:
+        h, w = a_blk.shape
+        lo = n - w
+        blk = b.take(perm[lo : lo + h], axis=0).take(perm[lo:], axis=1)
+        if h < w:
+            total += 2.0 * float(np.einsum("ij,ij->", blk[:, h:], a_blk[:, h:]))
+        total += float(np.einsum("ij,ij->", blk[:, :h], a_blk[:, :h]))
+        del blk  # free this block before the next one is gathered
+    return total
 
 
 def _pair_row_sums(a: PackedRows, b: np.ndarray, c: np.ndarray):

@@ -15,13 +15,10 @@ Two routes with very different cost profiles:
   exists and is wired into CI.
 
 Closed forms, with A~ and B~ the zero-diagonal kernel matrices of a
-``PairKernelMatrices`` (A~ held as the upper-triangle row blocks of the T1
-walk, B~ dense; both read in place, not copied), T1 = sum_{i!=j} a_ij b_ij,
-r_i / c_i the off-diagonal row sums and A.. / B.. their totals (the
-``PairKernelMatrices`` fields r, c, a_total and b_total, taken once when it
-is built; ``PairStatCore`` keeps no sums of its own), and
-Sig3 = sum_i r_i c_i - T1 (= the sum over ordered distinct triples (i,j,k)
-of a_ij b_ik):
+``PairKernelMatrices``, T1 = sum_{i!=j} a_ij b_ij, r_i / c_i the
+off-diagonal row sums and A.. / B.. their totals, and
+Sig3 = S - T1 with S = sum_i r_i c_i (= the sum over ordered distinct
+triples (i,j,k) of a_ij b_ik):
 
     s1 = T1 / (n (n-1))
     s3 = Sig3 / (n (n-1) (n-2))
@@ -31,16 +28,10 @@ The s2 numerator subtracts, from the product of the two full off-diagonal
 sums, the tuples whose index pairs share one index (4 Sig3: four positions
 the shared index can occupy) or both (2 T1: the pair and its reversal).
 
-Permuting the y rows by pi changes only T1 and sum_i r_i c_pi(i). T1(pi) =
-<A~, B~[pi][:, pi]> is a row-blocked gather over the upper triangle
-(``_t1``): both matrices are symmetric, so each block of rows [lo, hi) of
-B~[pi] is gathered only in the columns from lo on (a rows x n block, then a
-rows x (n - lo) block, together at most 512 KB) and reduced by einsum
-against the stored block A~[lo:hi, lo:], the off-diagonal part counted
-twice. The blocks follow ``kernels.walk_row_blocks``, the schedule
-``kernels.pack_rows`` stored them by, so the walk reads no part of A~ that
-was not kept. A permuted triple builds no n x n temporary. The unpermuted
-T1 is the same gather under the identity permutation.
+Permuting the y rows by pi changes only T1 and S. This module reads no
+matrix: ``PairKernelMatrices.permuted_sums`` returns the pair (T1(pi),
+S(pi)), summed in ``kernels`` on its one fixed-order route, and the
+constants of the closed forms are taken once per ``PairStatCore``.
 """
 
 from __future__ import annotations
@@ -133,51 +124,13 @@ def brute_force_triple(
     return StatTriple(s1 / count, s2 / count, s3 / count)
 
 
-def _t1(blocks: tuple, b: np.ndarray, perm: np.ndarray) -> float:
-    """T1 = <A~, B~[perm][:, perm]>, with A~ given as its stored walk blocks
-    (``PackedRows.blocks``).
-
-    A~ and the permuted B~ are both symmetric, so only the upper triangle of
-    blocks is walked. The stored block of rows [lo, hi) (h = hi - lo) is
-    A~[lo:hi, lo:], so lo = n minus its width. For each, the columns from lo
-    on of the permuted B~ are gathered (rows, then columns: a rows x n
-    block, then a rows x (n - lo) block, the only two live at once), and
-
-        T1 = sum over blocks of 2 <blk[:, h:], A~[lo:hi, hi:]>
-                              + <blk[:, :h], A~[lo:hi, lo:hi]>.
-
-    Each term is one einsum reduction that builds no product block; einsum,
-    unlike a BLAS dot, sums in an order fixed by the operands' shapes alone,
-    so a permutation that leaves B~ unchanged (the identity, or swapping two
-    identical y rows) reproduces the unpermuted T1 bit for bit. The row
-    counts of ``kernels.walk_row_blocks`` keep the two gathered blocks
-    within 512 KB. For n <= 181 there is one block, a copy of A~, and one
-    reduction.
-    """
-    n = b.shape[0]
-    total = 0.0
-    for a_blk in blocks:
-        h, w = a_blk.shape
-        lo = n - w
-        blk = b.take(perm[lo : lo + h], axis=0).take(perm[lo:], axis=1)
-        if h < w:
-            total += 2.0 * float(np.einsum("ij,ij->", blk[:, h:], a_blk[:, h:]))
-        total += float(np.einsum("ij,ij->", blk[:, :h], a_blk[:, :h]))
-        del blk  # free this block before the next one is gathered
-    return total
-
-
 class PairStatCore:
-    """Reusable O(n^2) engine for one pair of kernel matrices.
-
-    Reads r, c and the two totals from the ``PairKernelMatrices``; the
-    totals survive a permutation of the y rows: permuting y by pi turns
-    B~ into B~[pi][:, pi], whose row sums are just c[pi], so a
-    permuted triple is one row-blocked gather of the upper triangle of
-    B~[pi][:, pi] against A~'s stored row blocks (``_t1``: a rows x n and a
-    rows x (n - lo) block, together at most 512 KB, live at a time) plus
-    O(n) reductions.
-    """
+    """Reusable O(n^2) engine for one pair of kernel matrices: a permuted
+    triple is the closed forms of the module docstring at the two sums
+    ``PairKernelMatrices.permuted_sums`` returns, whose T1 walk holds at
+    most 512 KB live and builds no n x n temporary. The totals survive a
+    permutation of the y rows, so A.. B.. and the falling factorials of n
+    are taken once, here."""
 
     def __init__(self, mats: PairKernelMatrices):
         n = mats.n
@@ -185,19 +138,20 @@ class PairStatCore:
             raise fail("TOO_SMALL", f"need n >= 4, got n={n}")
         self.mats = mats
         self.n = n
+        self._pairs = n * (n - 1)
+        self._triples = n * (n - 1) * (n - 2)
+        self._quads = math.perm(n, 4)
+        self._ab = mats.a_total * mats.b_total
 
     def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
         """Triple for the sample with y rows permuted by ``perm``; None is
         the identity."""
-        n = self.n
         if perm is None:
-            perm = np.arange(n)
-        t1 = _t1(self.mats.a.blocks, self.mats.b, perm)
-        sig3 = float(self.mats.r @ self.mats.c[perm]) - t1
-        s1 = t1 / (n * (n - 1))
-        s3 = sig3 / (n * (n - 1) * (n - 2))
-        s2 = (self.mats.a_total * self.mats.b_total - 4.0 * sig3 - 2.0 * t1) / math.perm(n, 4)
-        return StatTriple(s1, s2, s3)
+            perm = np.arange(self.n)
+        t1, s = self.mats.permuted_sums(perm)
+        sig3 = s - t1
+        s2 = (self._ab - 4.0 * sig3 - 2.0 * t1) / self._quads
+        return StatTriple(t1 / self._pairs, s2, sig3 / self._triples)
 
 
 def fast_triple_pair(mats: PairKernelMatrices) -> StatTriple:

@@ -82,7 +82,11 @@ row sums and squared norms are shifted from the pair's r, c, totals and
 squared norms, so no matrix is read here.
 
 Both jackknife routes return a float through one finish, NONFINITE unless
-the estimate is finite and nonnegative.
+the estimate is finite and nonnegative. The dots of the permutation
+variance are einsums, summed in an order fixed by n. The jackknife keeps
+two BLAS dots, r . c and g . g, which OpenBLAS splits across threads
+above n = 10,000: as einsums they move the benchmark's pinned cli-ghsic-wide
+``sigma0_sq`` past its 1e-10 gate, which has to be re-derived first.
 """
 
 from __future__ import annotations
@@ -163,6 +167,11 @@ def _centered_row_stats(rows: np.ndarray, total: float, sq: float):
     return rows - kappa * (n - 1), sq - kappa * kappa * n * (n - 1)
 
 
+def _dot(v: np.ndarray, w: np.ndarray) -> float:
+    """v . w by einsum, in an order fixed by the length alone."""
+    return float(np.einsum("i,i->", v, w))
+
+
 def _exact_pattern_sums(total, trace, row_sq, sq, diag_row, diag_sq):
     """Sums over index tuples with exactly each coincidence class (see the
     module docstring), by Moebius inversion of the tied-index sums."""
@@ -195,15 +204,11 @@ def permutation_sigma0_sq(mats: PairKernelMatrices) -> float:
     scale = 1.0 / (n * (n - 2))
     xd = -ra * scale / (n - 1)
     xr = ra / (n * (n - 1))
+    dd = _dot(xd, xd)
     x = _exact_pattern_sums(
-        float(xr.sum()),
-        float(xd.sum()),
-        float(xr @ xr),
-        scale * scale * qa + float(xd @ xd),
-        float(xd @ xr),
-        float(xd @ xd),
+        float(xr.sum()), float(xd.sum()), _dot(xr, xr), scale * scale * qa + dd, _dot(xd, xr), dd
     )
-    cc = float(rb @ rb)
+    cc = _dot(rb, rb)
     sb = float(rb.sum())
     y = _exact_pattern_sums(2.0 * sb, sb, 4.0 * cc, qb + cc, 2.0 * cc, cc)
 

@@ -3,6 +3,8 @@ against naive per-entry recomputation."""
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -687,7 +689,37 @@ class TestPackedRows:
 
 
 class TestNumpyAssumptions:
-    """What numpy must keep for u, p and q to be fixed by the data alone."""
+    """What numpy must keep for u, p, q and S(pi) to be fixed by the data
+    alone."""
+
+    def test_dot_einsum_bits_do_not_depend_on_blas_threads(self):
+        """S(pi) = r . c[pi] and the permutation variance's dots are "i,i->"
+        einsums, which give the same bits under 1 and 2 BLAS threads. The
+        BLAS ddot they replace does not: OpenBLAS splits it above
+        n = 10,000, and ``r @ c[perm]`` changed in 17 and 18 of these 20
+        permutations (numpy 2.4.6, scipy-openblas 0.3.31, 2 cores), and in
+        14 to 15 of 20 on other vectors at n up to 26,000. Vectors only: a
+        whole test at n > 10,000 is too large for tier 1. Each run is a
+        fresh interpreter, since a BLAS library reads its thread count
+        once, when it loads."""
+        script = (
+            "import sys, numpy as np\n"
+            "for n in (10_001, 20_000):\n"
+            "    rng = np.random.default_rng(n)\n"
+            "    r, c = rng.standard_normal((2, n))\n"
+            "    for _ in range(20):\n"
+            "        sys.stdout.buffer.write(np.einsum('i,i->', r, c[rng.permutation(n)]).tobytes())\n"
+            "    sys.stdout.buffer.write(np.einsum('i,i->', r, r).tobytes())\n"
+        )
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, **dict.fromkeys(blas, threads))
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            runs.append(done.stdout)
+        assert len(runs[0]) == 2 * 21 * 8
+        assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("length", [1500, 8192])
     def test_row_einsum_bits_do_not_depend_on_rows_per_call(self, length):

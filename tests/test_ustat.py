@@ -16,9 +16,11 @@ from gammadep import (
     brute_force_triple,
     build_pair_matrices,
     fast_triple_pair,
+    jackknife_fast,
     median_bandwidth,
     pairwise_dcov,
     pairwise_ghsic,
+    permutation_sigma0_sq,
     validate_sample,
 )
 from gammadep.ustat import PairStatCore, PcovPermCore
@@ -277,15 +279,24 @@ class TestFastTriplePair:
         assert (t.s1, t.s2, t.s3) == (0.0, 0.0, 0.0)
 
     def test_joint_exchangeability(self):
+        # relabelling the rows reorders every sum of the pair: the T1 walk,
+        # S, u, p, q and the dots of both sigma0^2; n = 400 walks 4 blocks
         rng = np.random.default_rng(15)
-        s = dcov_sample(rng, 9, dependent=True)
-        perm = rng.permutation(9)
-        sp = validate_sample(s.x[perm], s.y[perm])
-        t0 = fast_triple_pair(build_pair_matrices(s, KernelPairSpec.dcov()))
-        t1 = fast_triple_pair(build_pair_matrices(sp, KernelPairSpec.dcov()))
-        assert t0.s1 == pytest.approx(t1.s1, abs=1e-12)
-        assert t0.s2 == pytest.approx(t1.s2, abs=1e-12)
-        assert t0.s3 == pytest.approx(t1.s3, abs=1e-12)
+        for n, kind in ((9, "dcov"), (400, "dcov"), (400, "ghsic")):
+            s = dcov_sample(rng, n, dependent=True)
+            perm = rng.permutation(n)
+            sp = validate_sample(s.x[perm], s.y[perm])
+            if kind == "dcov":
+                spec = KernelPairSpec.dcov()
+            else:
+                spec = KernelPairSpec.ghsic(median_bandwidth(s.x), median_bandwidth(s.y))
+            m0, m1 = build_pair_matrices(s, spec), build_pair_matrices(sp, spec)
+            t0, t1 = fast_triple_pair(m0), fast_triple_pair(m1)
+            assert t0.s1 == pytest.approx(t1.s1, abs=1e-12)
+            assert t0.s2 == pytest.approx(t1.s2, abs=1e-12)
+            assert t0.s3 == pytest.approx(t1.s3, abs=1e-12)
+            for sigma0_sq in (jackknife_fast, permutation_sigma0_sq):
+                assert sigma0_sq(m0) == pytest.approx(sigma0_sq(m1), rel=1e-10)
 
     def test_scale_equivariance_dcov(self):
         rng = np.random.default_rng(16)

@@ -17,11 +17,11 @@ from gammadep import (
     jackknife_brute,
     jackknife_fast,
     median_bandwidth,
-    pack_rows,
     pairwise_dcov,
     permutation_sigma0_sq,
     validate_sample,
 )
+from gammadep.kernels import pack_rows
 from gammadep.ustat import PairStatCore
 
 
