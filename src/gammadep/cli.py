@@ -28,7 +28,7 @@ from .data_model import (
     validate_sample,
 )
 from .errors import GammadepError, fail
-from .inference import PermutationPlan, check_seed, derive_seed, permutation_test
+from .inference import COMBINERS, PermutationPlan, check_seed, derive_seed, permutation_test
 from .kernels import build_pair_matrices, resolve_kernel_spec
 from .simgen import (
     ERRORS,
@@ -420,6 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exponent-indexed dependence metrics with permutation and half-normal inference.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gammas = ",".join(GammaSet.default().labels())
+    combiners = ",".join(COMBINERS)
 
     t = sub.add_parser("test", help="independence test on a CSV file")
     t.add_argument("--input", required=True, help="headered UTF-8 CSV")
@@ -428,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--kernel", choices=("dcov", "ghsic", "pcov"), default="dcov")
     t.add_argument("--sigma-x", type=float, default=None, help="ghsic bandwidth for x (default: median heuristic)")
     t.add_argument("--sigma-y", type=float, default=None)
-    t.add_argument("--gamma", default="1,2,3,4,5,6,inf")
+    t.add_argument("--gamma", default=gammas)
     t.add_argument("--B", type=int, default=200, help="permutation count")
-    t.add_argument("--combiners", default="fisher,min,cauchy")
+    t.add_argument("--combiners", default=combiners)
     t.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
     t.add_argument("--threads", type=int, default=None, help="worker process cap (results invariant); falls back to GAMMADEP_THREADS")
     _add_common(t, "json")
@@ -445,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reps", type=int, default=500)
     s.add_argument("--B", type=int, default=200)
     s.add_argument("--alpha", type=float, default=0.05)
-    s.add_argument("--gamma", default="1,2,3,4,5,6,inf")
-    s.add_argument("--combiners", default="fisher,min,cauchy")
+    s.add_argument("--gamma", default=gammas)
+    s.add_argument("--combiners", default=combiners)
     s.add_argument("--kernel", choices=("dcov", "ghsic"), default="dcov")
     s.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
     s.add_argument("--threads", type=int, default=None, help="worker process cap (results invariant); falls back to GAMMADEP_THREADS")

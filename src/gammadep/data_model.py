@@ -221,28 +221,28 @@ class KernelPairSpec:
 
 @dataclass(frozen=True)
 class StatTriple:
-    """The three unbiased estimates for one kernel pair."""
+    """The three unbiased estimates for one kernel pair, with the two mean
+    differences u = s1 - s3 and v = s2 - s3 and their sum mu1 = u + v. A
+    caller that takes u, v and mu1 with one rounding each passes them, so
+    that equal exact values stay equal floats; left out, each follows from
+    s1, s2 and s3 by these forms."""
 
     s1: float
     s2: float
     s3: float
+    u: Optional[float] = None
+    v: Optional[float] = None
+    mu1: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("s1", "s2", "s3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise fail("NONFINITE", f"{name}={v!r}")
-            object.__setattr__(self, name, v)
-
-    @property
-    def u(self) -> float:
-        """First mean difference, s1 - s3."""
-        return self.s1 - self.s3
-
-    @property
-    def v(self) -> float:
-        """Second mean difference, s2 - s3."""
-        return self.s2 - self.s3
+        s1, s2, s3 = float(self.s1), float(self.s2), float(self.s3)
+        u = s1 - s3 if self.u is None else float(self.u)
+        v = s2 - s3 if self.v is None else float(self.v)
+        mu1 = u + v if self.mu1 is None else float(self.mu1)
+        for name, value in zip(("s1", "s2", "s3", "u", "v", "mu1"), (s1, s2, s3, u, v, mu1)):
+            if not math.isfinite(value):
+                raise fail("NONFINITE", f"{name}={value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,8 @@ def rate_w(n: int, gamma: Gamma) -> float:
 
 def gamma_stats(triple: StatTriple, gammas: GammaSet) -> np.ndarray:
     """Metric values mu_hat for one triple, one float per exponent in
-    candidate-set order. The caller scales them by ``rate_w``."""
+    candidate-set order; gamma = 1 is the triple's own u + v. The caller
+    scales them by ``rate_w``."""
     u = triple.u
     v = triple.v
-    return np.array([aggregate(u, v, g) for g in gammas])
+    return np.array([triple.mu1 if g == 1 else aggregate(u, v, g) for g in gammas])

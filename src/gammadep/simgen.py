@@ -17,12 +17,16 @@ noise; all models require d2 == d1):
 
 Squares, cos and sin act coordinatewise; m5's W multiplies every coordinate
 of its row. Everything is a pure function of (config, seed).
+
+Normal noise (null-a's, and the models' default) is z L^T for a standard
+normal row z and the banded covariance's bidiagonal Cholesky factor L: two
+products and one sum per coordinate, so no BLAS thread count reaches a draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -60,21 +64,24 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def banded_cholesky(d: int) -> np.ndarray:
-    """Lower Cholesky factor of the banded covariance; raises NOT_PD if the
-    factorization fails rather than regularizing silently."""
-    sigma = np.eye(d)
-    for i in range(d - 1):
-        sigma[i, i + 1] = sigma[i + 1, i] = 0.5
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise fail("NOT_PD", f"banded covariance not positive definite at d={d}") from exc
+def _band(d: int):
+    """Diagonal and subdiagonal of the banded covariance's lower Cholesky
+    factor, from L L^T = Sigma row by row; diag[j]^2 = (j + 2) / (2 j + 2)."""
+    diag = np.ones(d)
+    sub = np.empty(d - 1)
+    for j in range(1, d):
+        sub[j - 1] = 0.5 / diag[j - 1]
+        diag[j] = math.sqrt(1.0 - sub[j - 1] * sub[j - 1])
+    return diag, sub
 
 
 def _draw_error(rng: np.random.Generator, count: int, d: int, family: str) -> np.ndarray:
     if family == "normal":
-        return rng.standard_normal((count, d)) @ banded_cholesky(d).T
+        z = rng.standard_normal((count, d))
+        diag, sub = _band(d)
+        eps = z * diag
+        eps[:, 1:] += z[:, :-1] * sub
+        return eps
     if family == "t3":
         return rng.standard_t(3, size=(count, d))
     raise fail("BAD_ERROR", f"unknown error family {family!r}")
@@ -135,33 +142,24 @@ def _draw_xy(cfg: SimConfig, count: int, rng: np.random.Generator):
     NONFINITE.
     """
     d = cfg.d1
-    k = cfg.kappa
     if cfg.model in _NULL_ERROR:
         x = _draw_error(rng, count, d, cfg.error)
         return x, _draw_error(rng, count, cfg.d2, cfg.error)
-    if cfg.model == "m1":
-        x = rng.uniform(-1.0, 1.0, (count, d))
-        eps = _draw_error(rng, count, d, cfg.error)
-        return x, x + k * eps
-    if cfg.model == "m2":
-        x = rng.uniform(-1.0, 1.0, (count, d))
-        eps = _draw_error(rng, count, d, cfg.error)
-        return x, x**2 + k * eps
-    if cfg.model == "m3":
-        w = rng.uniform(-1.0, 1.0, (count, d))
-        eps = _draw_error(rng, count, d, cfg.error)
-        return np.cos(np.pi * w) + k * eps, np.sin(np.pi * w)
+    w = rng.uniform(-1.0, 1.0, (count, d))
     if cfg.model == "m4":
-        w1 = rng.uniform(-1.0, 1.0, (count, d))
         w2 = rng.uniform(-1.0, 1.0, (count, d))
-        eps = _draw_error(rng, count, d, cfg.error)
+    noise = cfg.kappa * _draw_error(rng, count, d, cfg.error)
+    if cfg.model == "m1":
+        return w, w + noise
+    if cfg.model == "m2":
+        return w, w**2 + noise
+    if cfg.model == "m3":
+        return np.cos(np.pi * w) + noise, np.sin(np.pi * w)
+    if cfg.model == "m4":
         c, s = math.cos(-math.pi / 4.0), math.sin(-math.pi / 4.0)
-        return w1 * c + w2 * s + k * eps, -w1 * s + w2 * c
-    # m5
-    x = rng.uniform(-1.0, 1.0, (count, d))
-    eps = _draw_error(rng, count, d, cfg.error)
-    w = rng.integers(0, 2, size=(count, 1)).astype(np.float64)
-    return x, (x**2 + k * eps) * (w - 0.5)
+        return w * c + w2 * s + noise, -w * s + w2 * c
+    label = rng.integers(0, 2, size=(count, 1)).astype(np.float64)
+    return w, (w**2 + noise) * (label - 0.5)
 
 
 def gen_model(cfg: SimConfig, rng: Optional[np.random.Generator] = None) -> Sample:
@@ -191,15 +189,7 @@ class PopulationTriple:
                 raise fail("NONFINITE", f"{name}={getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "v": self.v,
-            "sum": self.sum,
-            "se_u": self.se_u,
-            "se_v": self.se_v,
-            "se_sum": self.se_sum,
-            "n_mc": self.n_mc,
-        }
+        return asdict(self)
 
 
 def mc_population_triple(cfg: SimConfig, spec: KernelPairSpec, n_mc: int) -> PopulationTriple:
@@ -215,10 +205,9 @@ def mc_population_triple(cfg: SimConfig, spec: KernelPairSpec, n_mc: int) -> Pop
     rng = _rng(cfg.seed)
     m = spec.m
     rest = tuple(range(4, m))
-    done = 0
-    batches_u, batches_v, batches_s = [], [], []
-    sq_u, sq_v, sq_s = [], [], []
-    while done < n_mc:
+    # per batch, the sums of the u, v and u + v streams and of their squares
+    batches = []
+    for done in range(0, n_mc, _MC_BATCH):
         count = min(_MC_BATCH, n_mc - done)
         x, y = _draw_xy(cfg, count * m, rng)
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -235,27 +224,12 @@ def mc_population_triple(cfg: SimConfig, spec: KernelPairSpec, n_mc: int) -> Pop
             t3 = f1 * kernel_values(spec, F2, y[:, (0, 2, 1, 3) + rest])
             if not all(np.isfinite(t).all() for t in (t1, t2, t3)):
                 raise fail("NONFINITE", "a kernel value or product is past float range")
-            us = t1 - t3
-            vs = t2 - t3
-            ss = t1 + t2 - 2.0 * t3
-            batches_u.append(float(np.sum(us)))
-            batches_v.append(float(np.sum(vs)))
-            batches_s.append(float(np.sum(ss)))
-            sq_u.append(float(np.sum(us * us)))
-            sq_v.append(float(np.sum(vs * vs)))
-            sq_s.append(float(np.sum(ss * ss)))
-        done += count
+            streams = np.stack([t1 - t3, t2 - t3, t1 + t2 - 2.0 * t3])
+            batches.append(np.concatenate([streams.sum(axis=1), (streams * streams).sum(axis=1)]))
 
-    def _mean_se(sums_list, sq_list):
-        total = math.fsum(sums_list)
-        total_sq = math.fsum(sq_list)
-        mean = total / n_mc
-        var = max(0.0, total_sq / n_mc - mean * mean)
-        return mean, math.sqrt(var / n_mc)
-
-    u, se_u = _mean_se(batches_u, sq_u)
-    v, se_v = _mean_se(batches_v, sq_v)
-    _, se_s = _mean_se(batches_s, sq_s)
+    means = [math.fsum(column) / n_mc for column in np.transpose(batches)]
+    (u, v, _), squares = means[:3], means[3:]
+    se_u, se_v, se_s = (math.sqrt(max(0.0, sq - mean * mean) / n_mc) for mean, sq in zip(means, squares))
     return PopulationTriple(u, v, u + v, se_u, se_v, se_s, n_mc)
 
 

@@ -28,6 +28,14 @@ The s2 numerator subtracts, from the product of the two full off-diagonal
 sums, the tuples whose index pairs share one index (4 Sig3: four positions
 the shared index can occupy) or both (2 T1: the pair and its reversal).
 
+u, v and u + v are taken from T1 and S with one rounding each, so equal
+exact values stay equal floats where T1, S, A.. and B.. are exact (integer
+dcov data), and exact ties of the permutation pool stay ties:
+
+    u   = s1 - s3 = ((n-1) T1 - S) / (n (n-1) (n-2))
+    v   = s2 - s3 = (A.. B.. + (n-1) T1 - (n+1) S) / (n (n-1) (n-2) (n-3))
+    u+v = (A.. B.. + (n-1) ((n-2) T1 - 2 S)) / (n (n-1) (n-2) (n-3))
+
 Permuting the y rows by pi changes only T1 and S. This module reads no
 matrix: ``PairKernelMatrices.permuted_sums`` returns the pair (T1(pi),
 S(pi)), summed in ``kernels`` on its one fixed-order route, and the
@@ -151,7 +159,11 @@ class PairStatCore:
         t1, s = self.mats.permuted_sums(perm)
         sig3 = s - t1
         s2 = (self._ab - 4.0 * sig3 - 2.0 * t1) / self._quads
-        return StatTriple(t1 / self._pairs, s2, sig3 / self._triples)
+        n = self.n
+        u = ((n - 1) * t1 - s) / self._triples
+        v = (self._ab + (n - 1) * t1 - (n + 1) * s) / self._quads
+        mu1 = (self._ab + (n - 1) * ((n - 2) * t1 - 2.0 * s)) / self._quads
+        return StatTriple(t1 / self._pairs, s2, sig3 / self._triples, u, v, mu1)
 
 
 def fast_triple_pair(mats: PairKernelMatrices) -> StatTriple:

@@ -891,6 +891,17 @@ class TestBlasThreadCount:
         assert b"sigma0_sq" in one
         assert self._run(args, 2) == one
 
+    def test_normal_draws_are_the_same_under_one_and_two_blas_threads(self):
+        # from d = 300 a matrix-product draw, split across two BLAS threads,
+        # changed in its last bits on a 2-core host
+        script = (
+            "import hashlib\n"
+            "from gammadep import SimConfig, gen_model\n"
+            "s = gen_model(SimConfig('null-a', n=1500, d1=300, d2=300))\n"
+            "print(hashlib.sha1(s.x.tobytes() + s.y.tobytes()).hexdigest())\n"
+        )
+        assert self._run(["-c", script], 1) == self._run(["-c", script], 2)
+
     def test_pair_sums_are_the_same_under_one_and_two_blas_threads(self):
         # n = 701: p and q are taken over 12 walk blocks
         script = (

@@ -170,14 +170,21 @@ class TestStatTriple:
             StatTriple(np.nan, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
-    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("slot", range(6))
     def test_nonfinite_in_any_slot_is_coded(self, bad, slot):
-        values = [0.5, 0.25, 0.125]
+        values = [0.5, 0.25, 0.125, 0.375, 0.125, 0.5]
         values[slot] = bad
         with pytest.raises(GammadepError) as exc:
             StatTriple(*values)
         assert exc.value.code == "NONFINITE"
-        assert f"s{slot + 1}=" in str(exc.value)
+        assert f"{('s1', 's2', 's3', 'u', 'v', 'mu1')[slot]}=" in str(exc.value)
+
+    def test_differences_left_out_come_from_the_estimates(self):
+        t = StatTriple(3.0, 2.0, 1.5)
+        assert (t.u, t.v, t.mu1) == (1.5, 0.5, 2.0)
+        t = StatTriple(3.0, 2.0, 1.5, u=1.25, v=0.75)
+        assert (t.u, t.v, t.mu1) == (1.25, 0.75, 2.0)
+        assert StatTriple(3.0, 2.0, 1.5, 1.25, 0.75, 2.5).mu1 == 2.5
 
     def test_numpy_scalars_become_python_floats(self):
         t = StatTriple(np.float64(0.5), np.float32(0.25), np.float64(0.125))

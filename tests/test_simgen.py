@@ -16,7 +16,7 @@ from gammadep import (
     mc_population_triple,
     size_power_experiment,
 )
-from gammadep.simgen import _draw_error, _rng
+from gammadep.simgen import _MC_BATCH, _band, _draw_error, _rng
 
 
 def null_x(design, n, d, seed):
@@ -41,6 +41,17 @@ class TestGenNull:
         assert np.allclose(np.diag(cov), 1.0, atol=0.02)
         assert cov[0, 1] == pytest.approx(0.5, abs=0.02)
         assert cov[0, 2] == pytest.approx(0.0, abs=0.02)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 300])
+    def test_band_is_the_cholesky_factor(self, d):
+        # LAPACK is the oracle here only: the draw takes no matrix product
+        sigma = np.eye(d) + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+        want = np.linalg.cholesky(sigma)
+        diag, sub = _band(d)
+        got = np.diag(diag) + np.diag(sub, k=-1)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        draw = _draw_error(_rng(d), 40, d, "normal")
+        assert np.allclose(draw, _rng(d).standard_normal((40, d)) @ want.T, rtol=0.0, atol=1e-14)
 
     def test_t3_heavy_tails(self):
         draws = null_x("null-b", 1_000_000, 1, seed=23).ravel()
@@ -200,7 +211,10 @@ class TestMcPopulationTriple:
 
 
 # mc_population_triple(...).to_dict() recorded before its four kernel streams
-# moved onto kernels.kernel_values; the values must come back bit for bit
+# moved onto kernels.kernel_values; the values must come back bit for bit.
+# The normal-noise entries (dcov-m1-d3, pcov-m3-d2) were re-pinned in their
+# last bits when the banded draw became its two-term band combination; at
+# d = 1 the band is the identity, so ghsic-null-a-d1 did not move.
 PINNED_POPULATIONS = [
     (
         SimConfig(model="m1", n=50, d1=3, d2=3),
@@ -208,8 +222,8 @@ PINNED_POPULATIONS = [
         11,
         {
             "u": 0.04412427818347318,
-            "v": -0.05120135220016873,
-            "sum": -0.00707707401669555,
+            "v": -0.051201352200168755,
+            "sum": -0.007077074016695578,
             "se_u": 0.0204830677719123,
             "se_v": 0.02023599922445868,
             "se_sum": 0.03350957815007059,
@@ -235,23 +249,40 @@ PINNED_POPULATIONS = [
         KernelPairSpec.pcov(),
         13,
         {
-            "u": -0.006205407071012476,
-            "v": -0.0022536324300116194,
-            "sum": -0.008459039501024095,
-            "se_u": 0.008667165378557634,
+            "u": -0.006205407071012553,
+            "v": -0.002253632430011839,
+            "sum": -0.008459039501024392,
+            "se_u": 0.008667165378557636,
             "se_v": 0.008725109833628413,
-            "se_sum": 0.014485717523533169,
+            "se_sum": 0.01448571752353317,
             "n_mc": 20000,
+        },
+    ),
+    # three batches, so the sums are combined across batches
+    (
+        SimConfig(model="m2", n=50, d1=2, d2=2, error="t3"),
+        KernelPairSpec.dcov(),
+        14,
+        {
+            "u": 0.02635853996281858,
+            "v": -0.011972125483072539,
+            "sum": 0.01438641447974604,
+            "se_u": 0.001349812406469069,
+            "se_v": 0.0013829954121934106,
+            "se_sum": 0.002299752890548482,
+            "n_mc": 2 * _MC_BATCH + 1,
         },
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "cfg,spec,seed,want", PINNED_POPULATIONS, ids=["dcov-m1-d3", "ghsic-null-a-d1", "pcov-m3-d2"]
+    "cfg,spec,seed,want",
+    PINNED_POPULATIONS,
+    ids=["dcov-m1-d3", "ghsic-null-a-d1", "pcov-m3-d2", "dcov-m2-t3-d2-3-batches"],
 )
 def test_population_values_are_pinned(cfg, spec, seed, want):
-    assert mc_population_triple(replace(cfg, seed=seed), spec, 20_000).to_dict() == want
+    assert mc_population_triple(replace(cfg, seed=seed), spec, want["n_mc"]).to_dict() == want
 
 
 # size_power_experiment p-value tables, each entry k of p = k / (B + 1),

@@ -1,7 +1,7 @@
-"""Source checks: no BLAS matrix product in the modules whose sums reach a
-report, so a later edit cannot bring one back unnoticed. A BLAS library may
-split a product across its threads and sum it in another order, which
-einsum's fixed order rules out."""
+"""Source checks: no BLAS matrix product in the modules whose sums or draws
+reach a report, so a later edit cannot bring one back unnoticed. A BLAS
+library may split a product across its threads and sum it in another
+order, which einsum's fixed order rules out."""
 
 import ast
 import os
@@ -10,7 +10,7 @@ import pytest
 
 import gammadep
 
-FIXED_ORDER_MODULES = ["kernels.py", "metric.py", "ustat.py", "variance.py"]
+FIXED_ORDER_MODULES = ["kernels.py", "metric.py", "simgen.py", "ustat.py", "variance.py"]
 BLAS_CALLS = {"dot", "vdot", "matmul", "inner", "tensordot"}
 
 # The jackknife display keeps its two BLAS dots: as einsums, r @ c moves the
