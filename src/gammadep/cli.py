@@ -300,6 +300,18 @@ def _sigmas(args):
     return (args.sigma_x, args.sigma_y)
 
 
+def _pool(args) -> dict:
+    """The combiners, tie mode and worker count that ``permutation_test`` and
+    ``size_power_experiment`` both take."""
+    return {"combiners": tuple(args.combiners.split(",")), "tie_mode": args.tie_mode, "threads": _threads(args)}
+
+
+def _sim_config(args, **fields) -> SimConfig:
+    """The SimConfig of --model, --d (for both x and y), --error, --kappa and
+    --seed, completed by ``fields``."""
+    return SimConfig(model=args.model, d1=args.d, d2=args.d, error=args.error, kappa=args.kappa, seed=args.seed, **fields)
+
+
 def _cmd_test(args) -> int:
     header, data = read_csv(args.input)
     x_idx = parse_columns(args.x_cols, header)
@@ -307,16 +319,7 @@ def _cmd_test(args) -> int:
     sample = validate_sample(data[:, x_idx], data[:, y_idx])
     spec = resolve_kernel_spec(args.kernel, sample, _sigmas(args))
     gammas = GammaSet.from_string(args.gamma)
-    plan = PermutationPlan(args.B, args.seed)
-    report = permutation_test(
-        sample,
-        spec,
-        gammas,
-        plan,
-        combiners=tuple(args.combiners.split(",")),
-        tie_mode=args.tie_mode,
-        threads=_threads(args),
-    )
+    report = permutation_test(sample, spec, gammas, PermutationPlan(args.B, args.seed), **_pool(args))
     doc = report_to_dict(report)
     doc["command"] = "test"
     doc["input"] = args.input
@@ -327,26 +330,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = SimConfig(
-        model=args.model,
-        n=args.n,
-        d1=args.d,
-        d2=args.d,
-        error=args.error,
-        kappa=args.kappa,
-        reps=args.reps,
-        b_count=args.B,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
-    result = size_power_experiment(
-        cfg,
-        GammaSet.from_string(args.gamma),
-        tuple(args.combiners.split(",")),
-        kernel=args.kernel,
-        threads=_threads(args),
-        tie_mode=args.tie_mode,
-    )
+    cfg = _sim_config(args, n=args.n, reps=args.reps, b_count=args.B, alpha=args.alpha)
+    result = size_power_experiment(cfg, GammaSet.from_string(args.gamma), kernel=args.kernel, **_pool(args))
     doc = result.to_table_dict()
     doc["schema_version"] = SCHEMA_VERSION
     doc["command"] = "simulate"
@@ -373,15 +358,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_population(args) -> int:
-    cfg = SimConfig(
-        model=args.model,
-        n=4,
-        d1=args.d,
-        d2=args.d,
-        error=args.error,
-        kappa=args.kappa,
-        seed=args.seed,
-    )
+    # SimConfig requires an n; the Monte-Carlo draws take none
+    cfg = _sim_config(args, n=4)
     spec = resolve_kernel_spec(args.kernel, sigmas=_sigmas(args))
     triple = mc_population_triple(cfg, spec, args.n_mc)
     doc = triple.to_dict()
@@ -404,14 +382,39 @@ def _cmd_population(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: a flag that several subcommands take is declared once, in a group
 
 
 def _add_common(p, default_format: str) -> None:
     p.add_argument("--out", help="write the JSON document to this path")
-    p.add_argument("--format", choices=("json", "text"), default=default_format, help="what stdout carries")
+    p.add_argument("--format", choices=("json", "text"), default=default_format, help="what stdout carries (default: %(default)s)")
     p.add_argument("--seed", type=int, required=True, help="run seed in [0, 2**64)")
     p.add_argument("--reproducible", action="store_true", help="suppress the timestamp field")
+
+
+def _add_pool(p) -> None:
+    """The permutation pool: test and simulate."""
+    p.add_argument("--gamma", default=",".join(GammaSet.default().labels()), help="comma-separated exponents, integers >= 1 or inf (default: %(default)s)")
+    p.add_argument("--B", type=int, default=200, help="permutation count (default: %(default)s)")
+    p.add_argument("--combiners", default=",".join(COMBINERS), help="comma-separated combinations of the per-exponent p-values (default: %(default)s)")
+    p.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict", help="strict counts the pool statistics above the observed one, inclusive also those equal to it (default: %(default)s)")
+    p.add_argument("--threads", type=int, default=None, help="worker process cap (results invariant); falls back to GAMMADEP_THREADS")
+
+
+def _add_model(p) -> None:
+    """The data-generating model: simulate and population."""
+    p.add_argument("--model", choices=NULL_DESIGNS + MODELS, required=True, help="null design or dependence model")
+    p.add_argument("--d", type=int, default=5, help="dimension of x and of y (default: %(default)s)")
+    p.add_argument("--error", choices=ERRORS, default=None, help="default: a null design's own family, else normal")
+    p.add_argument("--kappa", type=float, default=None, help="noise scale of m1..m5 (default: per model and error family)")
+
+
+def _add_kernel(p, choices, bandwidths: bool) -> None:
+    """The kernel pair, and for test and population its ghsic bandwidths."""
+    p.add_argument("--kernel", choices=choices, default="dcov", help="kernel pair (default: %(default)s)")
+    if bandwidths:
+        p.add_argument("--sigma-x", type=float, default=None, help="ghsic bandwidth for x; give both sigmas or neither")
+        p.add_argument("--sigma-y", type=float, default=None, help="ghsic bandwidth for y; with neither, test takes the median heuristic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,59 +423,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exponent-indexed dependence metrics with permutation and half-normal inference.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    gammas = ",".join(GammaSet.default().labels())
-    combiners = ",".join(COMBINERS)
 
     t = sub.add_parser("test", help="independence test on a CSV file")
     t.add_argument("--input", required=True, help="headered UTF-8 CSV")
-    t.add_argument("--x-cols", required=True, help='half-open range "a..b" or name list')
-    t.add_argument("--y-cols", required=True)
-    t.add_argument("--kernel", choices=("dcov", "ghsic", "pcov"), default="dcov")
-    t.add_argument("--sigma-x", type=float, default=None, help="ghsic bandwidth for x (default: median heuristic)")
-    t.add_argument("--sigma-y", type=float, default=None)
-    t.add_argument("--gamma", default=gammas)
-    t.add_argument("--B", type=int, default=200, help="permutation count")
-    t.add_argument("--combiners", default=combiners)
-    t.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
-    t.add_argument("--threads", type=int, default=None, help="worker process cap (results invariant); falls back to GAMMADEP_THREADS")
+    t.add_argument("--x-cols", required=True, help='x columns: half-open range "a..b", name list or index list')
+    t.add_argument("--y-cols", required=True, help="y columns, selected as --x-cols")
+    _add_kernel(t, ("dcov", "ghsic", "pcov"), bandwidths=True)
+    _add_pool(t)
     _add_common(t, "json")
     t.set_defaults(fn=_cmd_test)
 
     s = sub.add_parser("simulate", help="size/power experiment")
-    s.add_argument("--model", choices=NULL_DESIGNS + MODELS, required=True)
-    s.add_argument("--n", type=int, default=100)
-    s.add_argument("--d", type=int, default=5)
-    s.add_argument("--error", choices=ERRORS, default=None, help="default: a null design's own family, else normal")
-    s.add_argument("--kappa", type=float, default=None)
-    s.add_argument("--reps", type=int, default=500)
-    s.add_argument("--B", type=int, default=200)
-    s.add_argument("--alpha", type=float, default=0.05)
-    s.add_argument("--gamma", default=gammas)
-    s.add_argument("--combiners", default=combiners)
-    s.add_argument("--kernel", choices=("dcov", "ghsic"), default="dcov")
-    s.add_argument("--tie-mode", choices=("strict", "inclusive"), default="strict")
-    s.add_argument("--threads", type=int, default=None, help="worker process cap (results invariant); falls back to GAMMADEP_THREADS")
+    _add_model(s)
+    s.add_argument("--n", type=int, default=100, help="sample size per replication (default: %(default)s)")
+    s.add_argument("--reps", type=int, default=500, help="replications, at least 100 (default: %(default)s)")
+    s.add_argument("--alpha", type=float, default=0.05, help="level at which a p-value rejects (default: %(default)s)")
+    _add_kernel(s, ("dcov", "ghsic"), bandwidths=False)
+    _add_pool(s)
     _add_common(s, "text")
     s.set_defaults(fn=_cmd_simulate)
 
     o = sub.add_parser("oracle-check", help="fast-vs-brute equivalence gate")
-    o.add_argument("--kernel", choices=("dcov", "ghsic", "all"), default="all")
-    o.add_argument("--seeds", type=int, default=100)
-    o.add_argument("--n-min", type=int, default=6)
-    o.add_argument("--n-max", type=int, default=12)
-    o.add_argument("--tol", type=float, default=1e-10)
+    o.add_argument("--kernel", choices=("dcov", "ghsic", "all"), default="all", help="kernel pair (default: %(default)s)")
+    o.add_argument("--seeds", type=int, default=100, help="seeded instances per kernel (default: %(default)s)")
+    o.add_argument("--n-min", type=int, default=6, help="smallest instance size, at least 4 (default: %(default)s)")
+    o.add_argument("--n-max", type=int, default=12, help="largest instance size (default: %(default)s)")
+    o.add_argument("--tol", type=float, default=1e-10, help="largest absolute fast-vs-brute error that passes (default: %(default)s)")
     _add_common(o, "text")
     o.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("population", help="Monte-Carlo population mean differences")
-    p.add_argument("--model", choices=NULL_DESIGNS + MODELS, required=True)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--error", choices=ERRORS, default=None, help="default: a null design's own family, else normal")
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--kernel", choices=("dcov", "ghsic", "pcov"), default="dcov")
-    p.add_argument("--sigma-x", type=float, default=None)
-    p.add_argument("--sigma-y", type=float, default=None)
-    p.add_argument("--n-mc", type=int, default=1_000_000)
+    _add_model(p)
+    _add_kernel(p, ("dcov", "ghsic", "pcov"), bandwidths=True)
+    p.add_argument("--n-mc", type=int, default=1_000_000, help="Monte-Carlo draws (default: %(default)s)")
     _add_common(p, "json")
     p.set_defaults(fn=_cmd_population)
 

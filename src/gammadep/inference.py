@@ -60,8 +60,6 @@ from .metric import gamma_stats, rate_w
 from .ustat import stat_core_for
 from .variance import jackknife_fast, permutation_sigma0_sq
 
-COMBINERS = ("fisher", "min", "cauchy")
-
 # Smallest B n^2 whose permutation blocks run in forked workers. A dcov
 # pool at d = 5 on 2 cores, serial against 2 processes, 11 alternating
 # calls: B = 50 at n = 200 (2e6) and B = 19 at n = 400 and 500 (3e6, 4.8e6)
@@ -159,6 +157,7 @@ def combine_cauchy(p):
 
 
 _COMBINE = {"fisher": combine_fisher, "min": combine_min, "cauchy": combine_cauchy}
+COMBINERS = tuple(_COMBINE)
 
 
 def asymptotic_pvalue(scaled_mu: float, gamma: Gamma, sigma0: float, m: int) -> float:

@@ -316,8 +316,11 @@ def pack_rows(a: np.ndarray) -> PackedRows:
 
     r, A.. and ||A~||^2 are taken from the dense A~ first. Every block is a
     read-only copy (a view, even of contiguous full rows, would keep the
-    whole of A~ alive). Raises BAD_KERNEL for a nonzero diagonal.
+    whole of A~ alive). Raises BAD_SHAPE for a matrix that is not square and
+    BAD_KERNEL for a nonzero diagonal.
     """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise fail("BAD_SHAPE", f"a must be a square matrix, got shape {a.shape}")
     if np.any(np.diagonal(a) != 0.0):
         raise fail("BAD_KERNEL", "a must have a zero diagonal")
     r = a.sum(axis=1)
@@ -353,6 +356,9 @@ class PairKernelMatrices:
         if not self.spec.is_pair_dependent:
             raise fail("PAIR_KERNEL_REQUIRED", f"{self.spec.id} has no pair fast path")
         a, b = self.a, self.b
+        n = a.r.shape[0]
+        if b.shape != (n, n):
+            raise fail("BAD_SHAPE", f"b must be {n} x {n} like a, got shape {b.shape}")
         if np.any(np.diagonal(b) != 0.0):
             raise fail("BAD_KERNEL", "b must have a zero diagonal")
         r, c = a.r, b.sum(axis=1)

@@ -845,6 +845,31 @@ class TestInputContract:
         assert out == ""
 
 
+class TestFlagDeclarations:
+    COMMANDS = ("test", "simulate", "oracle-check", "population")
+    # by design the default --format is each command's natural output and the
+    # --kernel choices are the kernels a command runs; oracle-check's --kernel
+    # also offers, and defaults to, "all"
+    VARIES = {"--format": ("default",), "--kernel": ("choices", "default")}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_option_has_help(self, command):
+        assert [a.option_strings[0] for a in _options(command) if not (a.help or "").strip()] == []
+
+    def test_a_shared_flag_means_the_same_in_each_subcommand(self):
+        uses = {}
+        for command in self.COMMANDS:
+            for a in _options(command):
+                flag = a.option_strings[0]
+                keys = [k for k in ("type", "default", "help", "choices") if k not in self.VARIES.get(flag, ())]
+                uses.setdefault(flag, []).append((command, {k: getattr(a, k) for k in keys}))
+        shared = {flag: u for flag, u in uses.items() if len(u) > 1}
+        assert {"--gamma", "--combiners", "--model", "--kernel", "--sigma-y"} <= set(shared)
+        for flag, u in shared.items():
+            for command, fields in u[1:]:
+                assert fields == u[0][1], (flag, u[0][0], command)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
         import gammadep

@@ -512,6 +512,20 @@ class TestBuildPairMatrices:
                 build()
             assert exc.value.code == "BAD_KERNEL"
 
+    def test_non_square_a_is_refused(self):
+        with pytest.raises(GammadepError) as exc:
+            pack_rows(np.zeros((4, 6)))
+        assert exc.value.code == "BAD_SHAPE"
+
+    @pytest.mark.parametrize("shape", [(7, 7), (6, 8)], ids=["n-mismatch", "not-square"])
+    def test_b_of_another_shape_than_a_is_refused(self, shape):
+        # before any sum: numpy would otherwise fail to broadcast mid-way
+        s = validate_sample(np.random.default_rng(11).standard_normal((6, 2)), np.eye(6))
+        mats = build_pair_matrices(s, KernelPairSpec.dcov())
+        with pytest.raises(GammadepError) as exc:
+            PairKernelMatrices(mats.a, np.zeros(shape), mats.spec)
+        assert exc.value.code == "BAD_SHAPE"
+
     def test_pcov_has_no_pair_matrices(self):
         s = validate_sample(np.eye(6), np.eye(6))
         with pytest.raises(GammadepError) as exc:
