@@ -3,9 +3,10 @@
 Two computation routes live here on purpose. ``pairwise_dcov`` /
 ``pairwise_ghsic`` build the n x n matrices consumed by the O(n^2) fast
 paths; ``kernel_values`` evaluates f1 or f2 over a block of coordinate
-tuples, one value per tuple. It backs the brute-force enumeration used as
-the correctness oracle (through ``pair_value_table`` and
-``apex_value_table``) and the Monte-Carlo population means in ``simgen``.
+tuples, one value per tuple. It backs the Monte-Carlo population means in
+``simgen`` and, through ``value_table``, the brute-force enumeration used
+as the correctness oracle: one table per side, n x n for a pair kernel and
+n x n x n (with the apex) for the angle kernel, NaN at colliding indices.
 
 The distance matrix behind both builders is computed on the upper triangle
 only, in cache-sized tiles of row pairs that share one preallocated buffer,
@@ -485,39 +486,31 @@ def resolve_kernel_spec(kind: str, sample: Sample = None, sigmas=None) -> Kernel
     return KernelPairSpec(kind, sigmas)
 
 
-def pair_value_table(spec: KernelPairSpec, which: str, data: np.ndarray) -> np.ndarray:
-    """n x n table of kernel values from one ``kernel_values`` call.
+def value_table(spec: KernelPairSpec, which: str, data: np.ndarray) -> np.ndarray:
+    """Table of f1 or f2 at every index tuple the enumeration reads, from one
+    ``kernel_values`` call.
 
-    Used by the brute-force enumeration so its kernel values come from the
-    tuple evaluator rather than from the tiled matrix builders it is meant
-    to check. Each unordered pair i <= j is evaluated once as the tuple
-    (i, j, i, j): a pair-dependent kernel ignores its two trailing
-    arguments, so the rows themselves serve as padding.
-    """
-    n = data.shape[0]
-    i, j = np.triu_indices(n)
-    vals = kernel_values(spec, which, data[np.stack((i, j, i, j), axis=1)])
-    table = np.empty((n, n), dtype=np.float64)
-    table[i, j] = vals
-    table[j, i] = vals
-    return table
+    The table is n x n over (z1, z2) for a pair kernel, and n x n x n over
+    (z1, z2, apex z5) for the angle kernel. Each tuple of distinct indices
+    with i < j (and, for the angle kernel, an apex k distinct from both) is
+    evaluated once as (i, j, i, j[, k]): the kernels ignore z3 and z4, so the
+    rows themselves serve as padding. The value is mirrored to (j, i[, k]).
+    Entries at colliding indices are NaN, so a read the enumeration must
+    never make poisons its sum instead of passing silently.
 
-
-def apex_value_table(spec: KernelPairSpec, which: str, data: np.ndarray) -> np.ndarray:
-    """n x n x n table of angle-kernel values ang(z_i - z_k, z_j - z_k).
-
-    Every tuple (i, j, i, j, k) with i < j and k distinct from both is
-    evaluated in one ``kernel_values`` call. Entries with colliding indices
-    are never read by the enumeration and are left as NaN.
+    It is the oracle's one source of kernel values, so they come from the
+    tuple evaluator rather than from the tiled matrix builders it checks.
     """
     n = data.shape[0]
     i, j = np.triu_indices(n, 1)
-    k = np.repeat(np.arange(n), i.size)
-    i, j = np.tile(i, n), np.tile(j, n)
-    keep = (i != k) & (j != k)
-    i, j, k = i[keep], j[keep], k[keep]
-    vals = kernel_values(spec, which, data[np.stack((i, j, i, j, k), axis=1)])
-    table = np.full((n, n, n), np.nan, dtype=np.float64)
-    table[i, j, k] = vals
-    table[j, i, k] = vals
+    apex = ()
+    if spec.m == 5:
+        k = np.repeat(np.arange(n), i.size)
+        i, j = np.tile(i, n), np.tile(j, n)
+        keep = (i != k) & (j != k)
+        i, j, apex = i[keep], j[keep], (k[keep],)
+    vals = kernel_values(spec, which, data[np.stack((i, j, i, j) + apex, axis=1)])
+    table = np.full((n,) * (2 + len(apex)), np.nan)
+    table[(i, j) + apex] = vals
+    table[(j, i) + apex] = vals
     return table

@@ -2,12 +2,12 @@
 
 Two routes with very different cost profiles:
 
-* ``brute_force_triple`` enumerates every ordered tuple of distinct indices
-  and averages the three permuted-argument kernel products. It is the
-  correctness oracle and is capped by a TupleBudget. For the arity-5 pcov
-  kernel the oracle is ``PcovPermCore``, the same enumeration the
-  permutation test runs, which ``brute_force_triple`` calls. The jackknife
-  oracle ``variance.jackknife_brute`` runs the same pair enumeration.
+* ``EnumerationCore`` enumerates every ordered m-tuple of distinct indices
+  (m = 4 for the pair kernels, 5 for the angle kernel) and averages the
+  three permuted-argument kernel products. It is the one enumeration, capped
+  by a TupleBudget: ``brute_force_triple`` is its unpermuted triple, the
+  jackknife oracle ``variance.jackknife_brute`` reads its tuples and
+  gathered values, and the pcov permutation test runs its permuted triples.
 * ``fast_triple_pair`` evaluates the same averages in O(n^2) for
   pair-dependent kernels via the closed forms below. The collision
   corrections (the 4 and 2 coefficients in the s2 numerator) are exactly the
@@ -54,21 +54,14 @@ import numpy as np
 
 from .data_model import KernelPairSpec, Sample, StatTriple
 from .errors import fail
-from .kernels import (
-    F1,
-    F2,
-    PairKernelMatrices,
-    apex_value_table,
-    build_pair_matrices,
-    pair_value_table,
-)
+from .kernels import F1, F2, PairKernelMatrices, build_pair_matrices, value_table
 
 # Hard ceiling on enumerated tuples regardless of the configured budget.
 _MAX_TUPLES = 10_000_000
 
 @dataclass(frozen=True)
 class TupleBudget:
-    """Cap on the sample size the brute-force enumerations will accept."""
+    """Cap on the sample size the brute-force enumeration will accept."""
 
     max_n_bruteforce: int
 
@@ -87,49 +80,70 @@ class TupleBudget:
             raise fail("TOO_LARGE", f"(n)_m = {math.perm(n, m)} exceeds the tuple ceiling")
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _tuple_columns(n: int, m: int):
-    """Columns of the (n)_m x m array of ordered distinct index tuples."""
+    """Read-only columns of the (n)_m x m array of ordered distinct index
+    tuples. Only the last size is kept: at n = 57 and m = 4 one size is about
+    300 MB, and the triple and the jackknife of one sample share it."""
     idx = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n), m)),
         dtype=np.intp,
         count=math.perm(n, m) * m,
     ).reshape(-1, m)
     cols = tuple(np.ascontiguousarray(idx[:, k]) for k in range(m))
+    for col in cols:
+        col.setflags(write=False)
     return cols
+
+
+class EnumerationCore:
+    """The brute-force enumeration of one sample, for every kernel: all
+    (n)_m ordered tuples of distinct indices, with the x factor
+    f1(z_t0, z_t1[, apex z_t4]) gathered once from ``value_table``.
+
+    It is the correctness oracle (``brute_force_triple`` is its unpermuted
+    triple, and ``variance.jackknife_brute`` reads its ``tuples``, ``f1`` and
+    ``ay``), and the pcov permutation engine: the angle kernel deliberately
+    has no algebraic fast path, so each of its permutation replicates is a
+    set of gathers over these tuples. The size checks run once, here.
+    """
+
+    def __init__(self, sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None):
+        m = spec.m
+        n = sample.n
+        if budget is None:
+            budget = TupleBudget.default_for(m)
+        if n < m:
+            raise fail("TOO_SMALL", f"need n >= {m}, got n={n}")
+        budget.check(n, m)
+        self.tuples = _tuple_columns(n, m)
+        t0, t1 = self.tuples[:2]
+        self.f1 = value_table(spec, F1, sample.x)[(t0, t1) + self.tuples[4:]]
+        self.ay = value_table(spec, F2, sample.y)
+
+    def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
+        """Triple for the sample with y rows permuted by ``perm``; None is
+        the identity."""
+        cols = self.tuples if perm is None else tuple(perm[t] for t in self.tuples)
+        t0, t1, t2, t3 = cols[:4]
+        apex = cols[4:]
+        f1 = self.f1
+        ay = self.ay
+        count = f1.size
+        s1 = float(np.sum(f1 * ay[(t0, t1) + apex])) / count
+        s2 = float(np.sum(f1 * ay[(t2, t3) + apex])) / count
+        s3 = float(np.sum(f1 * ay[(t0, t2) + apex])) / count
+        return StatTriple(s1, s2, s3)
 
 
 def brute_force_triple(
     sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None
 ) -> StatTriple:
     """Exact averages of the three permuted-argument products over all
-    ordered tuples of distinct indices.
-
-    Kernel values come from ``kernels.kernel_values`` (tabulated once per
-    index pattern, then gathered over the enumeration), keeping this path
-    independent of the vectorized matrix builders and closed forms it
-    oracle-checks. The arity-5 kernel has no fast path to check, so its
-    enumeration is PcovPermCore's unpermuted triple.
-    """
-    m = spec.m
-    n = sample.n
-    if budget is None:
-        budget = TupleBudget.default_for(m)
-    if n < m:
-        raise fail("TOO_SMALL", f"need n >= {m}, got n={n}")
-    budget.check(n, m)
-    if m == 5:
-        return PcovPermCore(sample, spec, budget).triple(None)
-
-    ax = pair_value_table(spec, F1, sample.x)
-    ay = pair_value_table(spec, F2, sample.y)
-    t0, t1, t2, t3 = _tuple_columns(n, 4)
-    f1 = ax[t0, t1]
-    s1 = float(np.sum(f1 * ay[t0, t1]))
-    s2 = float(np.sum(f1 * ay[t2, t3]))
-    s3 = float(np.sum(f1 * ay[t0, t2]))
-    count = math.perm(n, 4)
-    return StatTriple(s1 / count, s2 / count, s3 / count)
+    ordered tuples of distinct indices: ``EnumerationCore``'s unpermuted
+    triple, whose kernel values come from ``kernels.kernel_values`` and not
+    from the matrix builders and closed forms it oracle-checks."""
+    return EnumerationCore(sample, spec, budget).triple(None)
 
 
 class PairStatCore:
@@ -171,49 +185,8 @@ def fast_triple_pair(mats: PairKernelMatrices) -> StatTriple:
     return PairStatCore(mats).triple(None)
 
 
-class PcovPermCore:
-    """Enumeration engine for the arity-5 angle kernel under y permutations.
-
-    It enumerates all (n)_5 ordered tuples (there is deliberately no
-    algebraic fast path for this kernel) and is also the pcov oracle:
-    ``brute_force_triple`` returns its unpermuted triple. The tables and
-    tuple-index arrays are built once so each permutation replicate is a
-    set of gathers.
-    """
-
-    def __init__(self, sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None):
-        if spec.m != 5:
-            raise fail("BAD_KERNEL", f"expected the arity-5 kernel, got {spec.id}")
-        if budget is None:
-            budget = TupleBudget.default_for(5)
-        n = sample.n
-        if n < 5:
-            raise fail("TOO_SMALL", f"need n >= 5, got n={n}")
-        budget.check(n, 5)
-        self.n = n
-        self.ay3 = apex_value_table(spec, F2, sample.y)
-        t0, t1, t2, t3, t4 = _tuple_columns(n, 5)
-        self._t = (t0, t1, t2, t3, t4)
-        ax3 = apex_value_table(spec, F1, sample.x)
-        self._f1 = ax3[t0, t1, t4]
-
-    def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
-        """Triple for the sample with y rows permuted by ``perm``; None is
-        the identity."""
-        if perm is None:
-            perm = np.arange(self.n)
-        t0, t1, t2, t3, t4 = (perm[t] for t in self._t)
-        f1 = self._f1
-        ay3 = self.ay3
-        count = math.perm(self.n, 5)
-        s1 = float(np.sum(f1 * ay3[t0, t1, t4])) / count
-        s2 = float(np.sum(f1 * ay3[t2, t3, t4])) / count
-        s3 = float(np.sum(f1 * ay3[t0, t2, t4])) / count
-        return StatTriple(s1, s2, s3)
-
-
 def stat_core_for(sample: Sample, spec: KernelPairSpec):
     """Engine with a ``triple(perm)`` method for the given kernel."""
     if spec.is_pair_dependent:
         return PairStatCore(build_pair_matrices(sample, spec))
-    return PcovPermCore(sample, spec)
+    return EnumerationCore(sample, spec)

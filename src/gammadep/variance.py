@@ -25,9 +25,10 @@ The symmetrized kernel of a 4-point set is the average of its 24
 orderings, so g(i) is also the average of the unsymmetrized
 psi_1 - psi_3 = f1(t0, t1) (f2(t0, t1) - f2(t0, t2)) over the
 4 (n-1)(n-2)(n-3) ordered 4-tuples of distinct indices that hold i in any
-slot. ``jackknife_brute`` evaluates it that way, as the tuple gather of
-``ustat.brute_force_triple``: kernel values from ``kernels.kernel_values``
-tables, one product per tuple, and one ``np.bincount`` per slot.
+slot. ``jackknife_brute`` evaluates it that way, on the enumeration of
+``ustat.EnumerationCore``: its tuples, its gathered f1 factor and its y
+table, both from ``kernels.kernel_values``, one product per tuple, and one
+``np.bincount`` per slot.
 ``jackknife_fast`` collapses the same average to row-sum statistics of the
 kernel matrices; the reduction is gated on the brute oracle in CI because
 every term in it is easy to get subtly wrong.
@@ -98,8 +99,8 @@ import numpy as np
 
 from .data_model import KernelPairSpec, Sample
 from .errors import fail
-from .kernels import F1, F2, PairKernelMatrices, pair_value_table
-from .ustat import TupleBudget, _tuple_columns
+from .kernels import PairKernelMatrices
+from .ustat import EnumerationCore, TupleBudget
 
 
 def _jackknife_finish(g: np.ndarray, n: int, m: int) -> float:
@@ -116,25 +117,20 @@ def jackknife_brute(
 ) -> float:
     """Literal enumeration of the jackknife display; O(n^4) and budget-capped.
 
-    Runs ``brute_force_triple``'s tuple gather (see the module docstring),
-    so it reads no kernel matrix of the fast path it oracle-checks.
+    Reads the tuples, f1 factor and y table of ``ustat.EnumerationCore``
+    (see the module docstring), so it reads no kernel matrix of the fast
+    path it oracle-checks.
     """
     if not spec.is_pair_dependent:
         raise fail("PAIR_KERNEL_REQUIRED", f"no jackknife for {spec.id} (arity {spec.m})")
-    m = spec.m
     n = sample.n
-    if budget is None:
-        budget = TupleBudget.default_for(m)
-    if n <= m:
-        raise fail("TOO_SMALL", f"need n > {m}, got n={n}")
-    budget.check(n, m)
-    ax = pair_value_table(spec, F1, sample.x)
-    ay = pair_value_table(spec, F2, sample.y)
-    cols = _tuple_columns(n, 4)
-    t0, t1, t2, _ = cols
-    h = ax[t0, t1] * (ay[t0, t1] - ay[t0, t2])
-    g = sum(np.bincount(t, h, minlength=n) for t in cols) / (4 * math.perm(n - 1, 3))
-    return _jackknife_finish(g, n, m)
+    if n <= spec.m:
+        raise fail("TOO_SMALL", f"need n > {spec.m}, got n={n}")
+    core = EnumerationCore(sample, spec, budget)
+    t0, t1, t2, _ = core.tuples
+    h = core.f1 * (core.ay[t0, t1] - core.ay[t0, t2])
+    g = sum(np.bincount(t, h, minlength=n) for t in core.tuples) / (4 * math.perm(n - 1, 3))
+    return _jackknife_finish(g, n, spec.m)
 
 
 def jackknife_fast(mats: PairKernelMatrices) -> float:

@@ -28,12 +28,11 @@ from gammadep.kernels import (
     F2,
     PairKernelMatrices,
     _pairwise_distances,
-    apex_value_table,
     build_pair_matrices,
     pack_rows,
     pair_peak_bytes,
-    pair_value_table,
     resolve_kernel_spec,
+    value_table,
     walk_row_blocks,
 )
 
@@ -455,10 +454,14 @@ class TestValueTables:
         spec = SPECS[kernel]
         data = np.random.default_rng(10 * n + d).standard_normal((n, d))
         for which, sigma in ((F1, 0.7), (F2, 1.3)):
-            table = pair_value_table(spec, which, data)
-            assert np.array_equal(table, table.T)
+            table = value_table(spec, which, data)
+            assert table.shape == (n, n)
+            assert np.array_equal(table, table.T, equal_nan=True)
+            assert np.array_equal(np.isnan(table), np.eye(n, dtype=bool))
             for i in range(n):
                 for j in range(n):
+                    if i == j:
+                        continue
                     dist = math.dist(data[i], data[j])
                     want = dist if kernel == "dcov" else math.exp(-dist / (2.0 * sigma * sigma))
                     assert table[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -468,7 +471,7 @@ class TestValueTables:
     def test_apex_table(self, n, d):
         spec = SPECS["pcov"]
         data = np.random.default_rng(10 * n + d).standard_normal((n, d))
-        table = apex_value_table(spec, F1, data)
+        table = value_table(spec, F1, data)
         assert table.shape == (n, n, n)
         assert np.array_equal(table, table.transpose(1, 0, 2), equal_nan=True)
         i, j, k = np.indices((n, n, n))

@@ -23,7 +23,7 @@ from gammadep import (
     permutation_sigma0_sq,
     validate_sample,
 )
-from gammadep.ustat import PairStatCore, PcovPermCore
+from gammadep.ustat import EnumerationCore, PairStatCore, _tuple_columns
 
 
 def dcov_sample(rng, n, d1=3, d2=2, dependent=False):
@@ -378,6 +378,13 @@ class TestRowBlockedT1:
             assert core.triple(perm) == core.triple(None)
 
 
+ENUM_SPECS = {
+    "dcov": KernelPairSpec.dcov(),
+    "ghsic": KernelPairSpec.ghsic(0.7, 1.3),
+    "pcov": KernelPairSpec.pcov(),
+}
+
+
 class TestPcovEnumeration:
     def test_matches_pure_python_loop(self):
         rng = np.random.default_rng(17)
@@ -405,23 +412,52 @@ class TestPcovEnumeration:
         assert t.s2 == pytest.approx(s2 / count, abs=1e-12)
         assert t.s3 == pytest.approx(s3 / count, abs=1e-12)
 
-    def test_perm_core_identity_matches_brute(self):
-        rng = np.random.default_rng(18)
-        s = dcov_sample(rng, 6, d1=2, d2=2)
-        spec = KernelPairSpec.pcov()
-        core = PcovPermCore(s, spec)
-        bt = brute_force_triple(s, spec)
-        ct = core.triple(None)
-        assert (ct.s1, ct.s2, ct.s3) == (bt.s1, bt.s2, bt.s3)
-
-    def test_perm_core_permutation_equals_permuted_sample(self):
+    @pytest.mark.parametrize("kind", ["dcov", "ghsic", "pcov"])
+    def test_perm_core_permutation_equals_permuted_sample(self, kind):
         rng = np.random.default_rng(19)
         s = dcov_sample(rng, 6, d1=2, d2=2)
-        spec = KernelPairSpec.pcov()
+        spec = ENUM_SPECS[kind]
         perm = rng.permutation(6)
-        ct = PcovPermCore(s, spec).triple(perm)
+        ct = EnumerationCore(s, spec).triple(perm)
         sp = validate_sample(s.x, np.array(s.y)[perm])
         bt = brute_force_triple(sp, spec)
         assert ct.s1 == pytest.approx(bt.s1, abs=1e-12)
         assert ct.s2 == pytest.approx(bt.s2, abs=1e-12)
         assert ct.s3 == pytest.approx(bt.s3, abs=1e-12)
+
+
+class TestEnumerationCore:
+    @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
+    def test_permuted_pair_triple_matches_enumeration(self, kind):
+        # every pool row but the first reads PairStatCore.triple(perm)
+        rng = np.random.default_rng(20 + len(kind))
+        spec = ENUM_SPECS[kind]
+        for n in range(6, 13):
+            s = dcov_sample(rng, n, dependent=True)
+            fast = PairStatCore(build_pair_matrices(s, spec))
+            brute = EnumerationCore(s, spec)
+            for _ in range(4):
+                perm = rng.permutation(n)
+                ft, bt = fast.triple(perm), brute.triple(perm)
+                for name in ("s1", "s2", "s3", "u", "v", "mu1"):
+                    assert getattr(ft, name) == pytest.approx(getattr(bt, name), abs=1e-10)
+
+    def test_tuple_cache_holds_one_size(self):
+        rng = np.random.default_rng(21)
+        spec = KernelPairSpec.dcov()
+        for n in (6, 7, 8):
+            EnumerationCore(dcov_sample(rng, n), spec)
+        assert _tuple_columns.cache_info().currsize == 1
+        cols = _tuple_columns(8, 4)
+        assert _tuple_columns.cache_info().currsize == 1
+        assert all(not col.flags.writeable for col in cols)
+
+    def test_pcov_size_is_checked_on_construction(self):
+        # the pair kernels' checks are TestBruteForceTriple's
+        spec = KernelPairSpec.pcov()
+        with pytest.raises(GammadepError) as exc:
+            EnumerationCore(dcov_sample(np.random.default_rng(0), 4), spec)
+        assert exc.value.code == "TOO_SMALL"
+        with pytest.raises(GammadepError) as exc:
+            EnumerationCore(dcov_sample(np.random.default_rng(0), 9), spec, TupleBudget(8))
+        assert exc.value.code == "TOO_LARGE"
