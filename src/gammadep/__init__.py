@@ -47,11 +47,7 @@ from .simgen import (
     mc_population_triple,
     size_power_experiment,
 )
-from .ustat import (
-    TupleBudget,
-    brute_force_triple,
-    fast_triple_pair,
-)
+from .ustat import brute_force_triple, fast_triple_pair
 from .variance import (
     jackknife_brute,
     jackknife_fast,
@@ -80,7 +76,6 @@ __all__ = [
     "SizePowerResult",
     "StatTriple",
     "TestReport",
-    "TupleBudget",
     "aggregate",
     "asymptotic_pvalue",
     "brute_force_triple",

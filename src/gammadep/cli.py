@@ -39,7 +39,7 @@ from .simgen import (
     mc_population_triple,
     size_power_experiment,
 )
-from .ustat import TupleBudget, brute_force_triple, fast_triple_pair
+from .ustat import EnumerationCore, fast_triple_pair
 from .variance import jackknife_brute, jackknife_fast
 
 SCHEMA_VERSION = 1
@@ -236,7 +236,6 @@ def run_oracle_suite(
         raise fail("BAD_TOL", f"tol must be finite and nonnegative, got {tol}")
     entries = []
     worst = 0.0
-    budget = TupleBudget(max(14, hi))
     for kind in kernels:
         max_err = 0.0
         checked = 0
@@ -247,12 +246,14 @@ def run_oracle_suite(
             y = 0.4 * x[:, :1] + rng.standard_normal((n, 2))
             sample = validate_sample(x, y)
             spec = resolve_kernel_spec(kind, sample)
-            bt = brute_force_triple(sample, spec, budget)
+            core = EnumerationCore(sample, spec)
+            bt = core.triple(None)
             mats = build_pair_matrices(sample, spec)
             ft = triple_fn(mats)
             err = max(abs(bt.s1 - ft.s1), abs(bt.s2 - ft.s2), abs(bt.s3 - ft.s3))
             if n > spec.m:
-                err = max(err, abs(jackknife_brute(sample, spec, budget) - jack_fn(mats)))
+                err = max(err, abs(jackknife_brute(core) - jack_fn(mats)))
+            del core  # free its tuples before the next instance builds its own
             max_err = max(max_err, err)
             checked += 1
         status = "PASS" if max_err <= tol else "FAIL"

@@ -56,6 +56,7 @@ from .data_model import (
 )
 
 from .errors import fail
+from .kernels import check_fits
 from .metric import gamma_stats, rate_w
 from .ustat import stat_core_for
 from .variance import jackknife_fast, permutation_sigma0_sq
@@ -218,16 +219,28 @@ def _pool_pvalues(pool: np.ndarray, tie_mode: str) -> np.ndarray:
     return (size - np.searchsorted(order, pool, side="left")) / size
 
 
+def pool_peak_bytes(rows: int, n_gamma: int) -> int:
+    """Byte model of the arrays of one pool with ``rows`` = B + 1 members and
+    L = ``n_gamma`` exponents, from its pool to its p-values: mu_hat and
+    its scaled copy (2L columns), the p-values (L + C) and combined
+    statistics (C) of ``permutation_pvalues``, with C every combiner, and
+    at most a combiner's input and two temporaries (3L) or a ranking's sort
+    temporaries (5 columns)."""
+    return 8 * rows * (6 * n_gamma + 2 * len(COMBINERS) + 5)
+
+
 def permutation_pool(
     sample: Sample, spec: KernelPairSpec, gammas: GammaSet, plan: PermutationPlan, *, threads: int = 1
 ):
     """Steps 1-2: the stat core, the unpermuted triple, and the (B+1) x L
     pool of mu_hat, raw and scaled by the rate row. Row 0 is the sample and
     row b its b-th permutation; a scaled column that is not finite raises
-    NONFINITE."""
+    NONFINITE. A pool whose ``pool_peak_bytes`` exceed the memory available
+    is refused with TOO_LARGE before the core is built."""
     n = sample.n
     if n < spec.m:
         raise fail("TOO_SMALL", f"need n >= {spec.m}, got n={n}")
+    check_fits(pool_peak_bytes(plan.b_count + 1, len(gammas)), f"a pool of B={plan.b_count} permutations")
 
     core = stat_core_for(sample, spec)
     glist = tuple(gammas)

@@ -17,9 +17,13 @@ median from that one matrix in place.
 
 ``pair_peak_bytes`` models a pair test's peak: the dense A~ with its packed
 row blocks, then those blocks with B~, plus the larger of the tile and the
-live T1 gather blocks. ``build_pair_matrices`` and the ghsic median pass in
-``resolve_kernel_spec`` compare it with MemAvailable before their first
-n x n allocation and refuse a run that cannot fit with TOO_LARGE.
+live T1 gather blocks. ``check_fits`` is the one memory check: it compares a
+byte model with MemAvailable and refuses a run that cannot fit with
+TOO_LARGE. ``build_pair_matrices`` and the ghsic median pass in
+``resolve_kernel_spec`` call it on ``pair_peak_bytes`` before their first
+n x n allocation, ``ustat.EnumerationCore`` on its own model before it
+builds a tuple, and ``inference.permutation_pool`` on the pool's before its
+first (B+1)-row array.
 
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
@@ -146,16 +150,17 @@ def _mem_available() -> Optional[int]:
     return None
 
 
-def _check_fits(sample: Sample) -> None:
-    """Refuse, with TOO_LARGE, a pair test whose byte model exceeds the
-    memory available now; called before its first n x n allocation."""
-    need = pair_peak_bytes(sample.n, max(sample.d1, sample.d2))
+def check_fits(need: int, what: str) -> None:
+    """Refuse, with TOO_LARGE, a run whose byte model ``need`` exceeds the
+    memory available now; ``what`` names the run in the message. Called
+    before the run's first large allocation, since numpy allocates lazily
+    and a run past the memory would be killed later, while it fills its
+    arrays. Skipped where MemAvailable cannot be read."""
     avail = _mem_available()
     if avail is not None and need > avail:
         raise fail(
             "TOO_LARGE",
-            f"n={sample.n} needs about {need / 2**20:.0f} MB for its kernel matrices, "
-            f"{avail / 2**20:.0f} MB available",
+            f"{what} needs about {need / 2**20:.0f} MB, {avail / 2**20:.0f} MB available",
         )
 
 
@@ -464,7 +469,7 @@ def build_pair_matrices(sample: Sample, spec: KernelPairSpec) -> PairKernelMatri
     """
     if not spec.is_pair_dependent:
         raise fail("PAIR_KERNEL_REQUIRED", f"{spec.id} is not pair-dependent")
-    _check_fits(sample)
+    check_fits(pair_peak_bytes(sample.n, max(sample.d1, sample.d2)), f"a pair test at n={sample.n}")
     a = pack_rows(_kernel_matrix(spec, sample.x, 0))
     b = _kernel_matrix(spec, sample.y, 1)
     return PairKernelMatrices(a, b, spec)
@@ -481,7 +486,7 @@ def resolve_kernel_spec(kind: str, sample: Sample = None, sigmas=None) -> Kernel
     if kind == GHSIC and sigmas is None:
         if sample is None:
             raise fail("BAD_BANDWIDTH", "ghsic needs sigmas or a sample to medianize")
-        _check_fits(sample)
+        check_fits(pair_peak_bytes(sample.n, max(sample.d1, sample.d2)), f"a pair test at n={sample.n}")
         sigmas = (median_bandwidth(sample.x), median_bandwidth(sample.y))
     return KernelPairSpec(kind, sigmas)
 

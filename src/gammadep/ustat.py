@@ -4,10 +4,13 @@ Two routes with very different cost profiles:
 
 * ``EnumerationCore`` enumerates every ordered m-tuple of distinct indices
   (m = 4 for the pair kernels, 5 for the angle kernel) and averages the
-  three permuted-argument kernel products. It is the one enumeration, capped
-  by a TupleBudget: ``brute_force_triple`` is its unpermuted triple, the
-  jackknife oracle ``variance.jackknife_brute`` reads its tuples and
-  gathered values, and the pcov permutation test runs its permuted triples.
+  three permuted-argument kernel products. It is the one enumeration:
+  ``brute_force_triple`` is its unpermuted triple, the jackknife oracle
+  ``variance.jackknife_brute`` reads its tuples and gathered values, and the
+  pcov permutation test runs its permuted triples. It is admitted by a
+  ceiling of 1e7 tuples (n <= 57 at m = 4, n <= 27 at m = 5) and by its
+  byte model, ``enumeration_peak_bytes``, against the memory available,
+  through the same ``kernels.check_fits`` as the pair build and the pool.
 * ``fast_triple_pair`` evaluates the same averages in O(n^2) for
   pair-dependent kernels via the closed forms below. The collision
   corrections (the 4 and 2 coefficients in the s2 numerator) are exactly the
@@ -44,56 +47,57 @@ constants of the closed forms are taken once per ``PairStatCore``.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import os
 from typing import Optional
 
 import numpy as np
 
 from .data_model import KernelPairSpec, Sample, StatTriple
 from .errors import fail
-from .kernels import F1, F2, PairKernelMatrices, build_pair_matrices, value_table
+from .kernels import F1, F2, PairKernelMatrices, build_pair_matrices, check_fits, value_table
 
-# Hard ceiling on enumerated tuples regardless of the configured budget.
+# Ceiling on the ordered tuples one enumeration takes: n <= 57 for the pair
+# kernels and n <= 27 for the angle kernel. Below it, the byte model is
+# checked against the memory available.
 _MAX_TUPLES = 10_000_000
 
-@dataclass(frozen=True)
-class TupleBudget:
-    """Cap on the sample size the brute-force enumeration will accept."""
 
-    max_n_bruteforce: int
-
-    def __post_init__(self):
-        if self.max_n_bruteforce < 1:
-            raise fail("BAD_BUDGET", "max_n_bruteforce must be positive")
-
-    @classmethod
-    def default_for(cls, m: int) -> "TupleBudget":
-        return cls(14 if m == 4 else 10)
-
-    def check(self, n: int, m: int) -> None:
-        if n > self.max_n_bruteforce:
-            raise fail("TOO_LARGE", f"n={n} exceeds brute-force budget {self.max_n_bruteforce}")
-        if math.perm(n, m) > _MAX_TUPLES:
-            raise fail("TOO_LARGE", f"(n)_m = {math.perm(n, m)} exceeds the tuple ceiling")
+def _tuple_columns(n: int, m: int) -> tuple:
+    """The m columns of the (n)_m x m array of ordered tuples of distinct
+    indices, in ``itertools.permutations(range(n), m)`` order: each prefix
+    of k indices, in that order, is followed by the n - k indices it does
+    not hold, in increasing order. Built one position at a time, so the
+    columns of the last position are the only ones of full length."""
+    cols = [np.arange(n)]
+    for k in range(1, m):
+        free = np.ones((cols[0].size, n), dtype=bool)
+        for col in cols:
+            free[np.arange(col.size), col] = False
+        nxt = np.broadcast_to(np.arange(n), free.shape)[free]
+        cols = [np.repeat(col, n - k) for col in cols] + [nxt]
+    return tuple(cols)
 
 
-@lru_cache(maxsize=1)
-def _tuple_columns(n: int, m: int):
-    """Read-only columns of the (n)_m x m array of ordered distinct index
-    tuples. Only the last size is kept: at n = 57 and m = 4 one size is about
-    300 MB, and the triple and the jackknife of one sample share it."""
-    idx = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n), m)),
-        dtype=np.intp,
-        count=math.perm(n, m) * m,
-    ).reshape(-1, m)
-    cols = tuple(np.ascontiguousarray(idx[:, k]) for k in range(m))
-    for col in cols:
-        col.setflags(write=False)
-    return cols
+def enumeration_peak_bytes(n: int, m: int, d: int, workers: Optional[int] = None) -> int:
+    """Byte model of the peak of an ``EnumerationCore`` at n rows of at most
+    d columns a side, with its triples and the brute jackknife.
+
+    The core holds its m tuple columns and its gathered f1, 8 (m + 1) (n)_m
+    bytes, and its two value tables of n^(m-2) values each. Each process
+    that reads it adds two arrays of (n)_m values (a triple's gather and
+    its product with f1, or the jackknife's two gathers) and, for a
+    permuted triple, its permuted y table; the forked permutation workers
+    read the core copy-on-write, not copying it. Before the tuples are
+    built, ``value_table`` evaluates each side's (count, m, d) block of
+    argument tuples, with up to two more (count, d) differences.
+    ``workers`` defaults to, and is bounded by, ``os.cpu_count()``.
+    """
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else min(workers, cpus)
+    table = n ** (m - 2)
+    block = math.comb(n, 2) * n ** (m - 4) * (m + 2) * d
+    return 8 * (math.perm(n, m) * (m + 1 + 2 * workers) + table * (2 + workers) + block)
 
 
 class EnumerationCore:
@@ -105,17 +109,23 @@ class EnumerationCore:
     triple, and ``variance.jackknife_brute`` reads its ``tuples``, ``f1`` and
     ``ay``), and the pcov permutation engine: the angle kernel deliberately
     has no algebraic fast path, so each of its permutation replicates is a
-    set of gathers over these tuples. The size checks run once, here.
+    set of gathers over these tuples. The constructor refuses, before it
+    builds anything, n < m (TOO_SMALL), more than ``_MAX_TUPLES`` tuples
+    and a byte model (``enumeration_peak_bytes``) past the memory
+    available (both TOO_LARGE).
     """
 
-    def __init__(self, sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None):
+    def __init__(self, sample: Sample, spec: KernelPairSpec):
         m = spec.m
         n = sample.n
-        if budget is None:
-            budget = TupleBudget.default_for(m)
         if n < m:
             raise fail("TOO_SMALL", f"need n >= {m}, got n={n}")
-        budget.check(n, m)
+        count = math.perm(n, m)
+        if count > _MAX_TUPLES:
+            raise fail("TOO_LARGE", f"n={n} has {count} ordered {m}-tuples, past the ceiling {_MAX_TUPLES}")
+        check_fits(enumeration_peak_bytes(n, m, max(sample.d1, sample.d2)), f"an enumeration of n={n} rows")
+        self.spec = spec
+        self.n = n
         self.tuples = _tuple_columns(n, m)
         t0, t1 = self.tuples[:2]
         self.f1 = value_table(spec, F1, sample.x)[(t0, t1) + self.tuples[4:]]
@@ -123,12 +133,13 @@ class EnumerationCore:
 
     def triple(self, perm: Optional[np.ndarray] = None) -> StatTriple:
         """Triple for the sample with y rows permuted by ``perm``; None is
-        the identity."""
-        cols = self.tuples if perm is None else tuple(perm[t] for t in self.tuples)
-        t0, t1, t2, t3 = cols[:4]
-        apex = cols[4:]
+        the identity. The permuted y table ay[pi][:, pi] (and [..., pi] at
+        the apex) gathered at a tuple is ay gathered at the permuted tuple,
+        so a permutation gathers no index column."""
+        ay = self.ay if perm is None else self.ay[np.ix_(*(perm,) * self.ay.ndim)]
+        t0, t1, t2, t3 = self.tuples[:4]
+        apex = self.tuples[4:]
         f1 = self.f1
-        ay = self.ay
         count = f1.size
         s1 = float(np.sum(f1 * ay[(t0, t1) + apex])) / count
         s2 = float(np.sum(f1 * ay[(t2, t3) + apex])) / count
@@ -136,14 +147,12 @@ class EnumerationCore:
         return StatTriple(s1, s2, s3)
 
 
-def brute_force_triple(
-    sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None
-) -> StatTriple:
+def brute_force_triple(sample: Sample, spec: KernelPairSpec) -> StatTriple:
     """Exact averages of the three permuted-argument products over all
     ordered tuples of distinct indices: ``EnumerationCore``'s unpermuted
     triple, whose kernel values come from ``kernels.kernel_values`` and not
     from the matrix builders and closed forms it oracle-checks."""
-    return EnumerationCore(sample, spec, budget).triple(None)
+    return EnumerationCore(sample, spec).triple(None)
 
 
 class PairStatCore:

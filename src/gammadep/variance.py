@@ -25,10 +25,12 @@ The symmetrized kernel of a 4-point set is the average of its 24
 orderings, so g(i) is also the average of the unsymmetrized
 psi_1 - psi_3 = f1(t0, t1) (f2(t0, t1) - f2(t0, t2)) over the
 4 (n-1)(n-2)(n-3) ordered 4-tuples of distinct indices that hold i in any
-slot. ``jackknife_brute`` evaluates it that way, on the enumeration of
-``ustat.EnumerationCore``: its tuples, its gathered f1 factor and its y
-table, both from ``kernels.kernel_values``, one product per tuple, and one
-``np.bincount`` per slot.
+slot. ``jackknife_brute`` evaluates it that way, on an
+``ustat.EnumerationCore`` it is given (the oracle suite reads one core for
+the triple and the jackknife of each instance): its tuples, its gathered
+f1 factor and its y table, both from ``kernels.kernel_values``, one product
+per tuple, and one ``np.bincount`` per slot. It holds two arrays of (n)_4
+values on top of the core, which the core's byte model counts.
 ``jackknife_fast`` collapses the same average to row-sum statistics of the
 kernel matrices; the reduction is gated on the brute oracle in CI because
 every term in it is easy to get subtly wrong.
@@ -93,14 +95,12 @@ above n = 10,000: as einsums they move the benchmark's pinned cli-ghsic-wide
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
-from .data_model import KernelPairSpec, Sample
 from .errors import fail
 from .kernels import PairKernelMatrices
-from .ustat import EnumerationCore, TupleBudget
+from .ustat import EnumerationCore
 
 
 def _jackknife_finish(g: np.ndarray, n: int, m: int) -> float:
@@ -112,23 +112,23 @@ def _jackknife_finish(g: np.ndarray, n: int, m: int) -> float:
     return sigma0_sq
 
 
-def jackknife_brute(
-    sample: Sample, spec: KernelPairSpec, budget: Optional[TupleBudget] = None
-) -> float:
-    """Literal enumeration of the jackknife display; O(n^4) and budget-capped.
+def jackknife_brute(core: EnumerationCore) -> float:
+    """Literal enumeration of the jackknife display over the tuples of an
+    ``ustat.EnumerationCore``; O(n^4).
 
-    Reads the tuples, f1 factor and y table of ``ustat.EnumerationCore``
-    (see the module docstring), so it reads no kernel matrix of the fast
-    path it oracle-checks.
+    Reads the core's tuples, f1 factor and y table (see the module
+    docstring), so it reads no kernel matrix of the fast path it
+    oracle-checks, and holds two arrays of (n)_4 values on top of the core.
     """
+    spec, n = core.spec, core.n
     if not spec.is_pair_dependent:
         raise fail("PAIR_KERNEL_REQUIRED", f"no jackknife for {spec.id} (arity {spec.m})")
-    n = sample.n
     if n <= spec.m:
         raise fail("TOO_SMALL", f"need n > {spec.m}, got n={n}")
-    core = EnumerationCore(sample, spec, budget)
     t0, t1, t2, _ = core.tuples
-    h = core.f1 * (core.ay[t0, t1] - core.ay[t0, t2])
+    h = core.ay[t0, t1]
+    h -= core.ay[t0, t2]
+    h *= core.f1
     g = sum(np.bincount(t, h, minlength=n) for t in core.tuples) / (4 * math.perm(n - 1, 3))
     return _jackknife_finish(g, n, spec.m)
 

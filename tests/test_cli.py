@@ -378,6 +378,60 @@ class TestTestCommand:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == expected
 
+    @staticmethod
+    def _small_csv(tmp_path, rows):
+        path = tmp_path / f"small{rows}.csv"
+        data = np.random.default_rng(rows).standard_normal((rows, 4))
+        np.savetxt(path, data, delimiter=",", header="x1,x2,y1,y2", comments="")
+        return str(path)
+
+    def test_pcov_memory_guard_exit_code(self, tmp_path, monkeypatch, capsys):
+        # 1 MB available is below the tuple columns of a 12-row pcov test
+        # (95,040 ordered 5-tuples); a missing meminfo skips the check
+        args = ["test", "--input", self._small_csv(tmp_path, 12), "--x-cols", "0..2", "--y-cols", "2..4",
+                "--B", "19", "--seed", "0", "--kernel", "pcov", "--reproducible"]
+        assert main(args) == EXIT_OK
+        expected = capsys.readouterr().out
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal: 4096 kB\nMemAvailable: 1024 kB\n", encoding="ascii")
+        monkeypatch.setattr(kernels, "_MEMINFO", str(meminfo))
+        assert main(args) == EXIT_DATA
+        assert "TOO_LARGE" in capsys.readouterr().err
+        monkeypatch.setattr(kernels, "_MEMINFO", str(tmp_path / "absent"))
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_pcov_past_the_tuple_ceiling(self, tmp_path, capsys):
+        # 28 rows have 11,793,600 ordered 5-tuples, past the 1e7 ceiling
+        args = ["test", "--input", self._small_csv(tmp_path, 28), "--x-cols", "0..2", "--y-cols", "2..4",
+                "--B", "19", "--seed", "0", "--kernel", "pcov"]
+        assert main(args) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "TOO_LARGE" in captured.err and "ceiling" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--x-cols", "0..2", "--y-cols", "2..4", "--B", "2000000000"],
+            ["simulate", "--model", "null-a", "--n", "20", "--d", "2", "--reps", "100", "--B", "300000000"],
+        ],
+        ids=["test", "simulate"],
+    )
+    def test_oversized_pool_exit_code(self, argv, tmp_path, monkeypatch, capsys):
+        # the pool's byte model (mu_hat alone is 104 GiB at B = 2e9 and 15.6
+        # GiB at 3e8 with seven exponents) is refused before its first
+        # allocation, on any host: 64 GiB are set as available
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text(f"MemTotal: {2**26} kB\nMemAvailable: {2**26} kB\n", encoding="ascii")
+        monkeypatch.setattr(kernels, "_MEMINFO", str(meminfo))
+        if argv[0] == "test":
+            argv = argv + ["--input", self._small_csv(tmp_path, 12)]
+        assert main(argv + ["--seed", "1"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "TOO_LARGE" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_missing_file_is_data_error(self, capsys):
         code = main(
             ["test", "--input", "/nonexistent.csv", "--x-cols", "0..1", "--y-cols", "1..2", "--seed", "1"]

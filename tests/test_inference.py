@@ -37,7 +37,9 @@ from gammadep.inference import (
     derive_seed,
     permutation_pool,
     permutation_pvalues,
+    pool_peak_bytes,
 )
+from gammadep import inference, kernels
 from gammadep.kernels import pair_peak_bytes
 from gammadep.ustat import PairStatCore
 
@@ -879,6 +881,39 @@ class TestMemory:
 
         traced = peak_nxn(run, n) * 8.0 * n * n
         assert abs(pair_peak_bytes(n, 1, workers=1) / traced - 1.0) <= 0.1
+
+    @pytest.mark.parametrize("gammas", [GammaSet.default(), GammaSet((2,))], ids=["seven", "one"])
+    def test_pool_model_bounds_the_traced_peak(self, gammas):
+        # at n = 5 the kernels are a few hundred bytes, so the (B+1)-row
+        # arrays of the pool and its p-values are the whole peak
+        rng = np.random.default_rng(36)
+        s = validate_sample(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
+        b_count = 4000
+
+        def run():
+            permutation_test(s, KernelPairSpec.dcov(), gammas, PermutationPlan(b_count, 3))
+
+        traced = 8.0 * peak_nxn(run, 1)  # in bytes: a 1 x 1 matrix is 8
+        model = pool_peak_bytes(b_count + 1, len(gammas))
+        assert 0.5 * model <= traced <= model
+
+    def test_pool_is_refused_before_the_core_is_built(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        s = validate_sample(rng.standard_normal((20, 2)), rng.standard_normal((20, 2)))
+        plan = PermutationPlan(99, 3)
+        need = pool_peak_bytes(100, 7)
+
+        def no_core(*args):
+            raise AssertionError("the core was built before the pool's check")
+
+        monkeypatch.setattr(inference, "stat_core_for", no_core)
+        monkeypatch.setattr(kernels, "_mem_available", lambda: need - 1)
+        with pytest.raises(GammadepError) as exc:
+            permutation_pool(s, KernelPairSpec.dcov(), GammaSet.default(), plan)
+        assert exc.value.code == "TOO_LARGE"
+        monkeypatch.setattr(kernels, "_mem_available", lambda: need)
+        with pytest.raises(AssertionError, match="core was built"):
+            permutation_pool(s, KernelPairSpec.dcov(), GammaSet.default(), plan)
 
 
 class TestDeriveSeed:

@@ -3,8 +3,11 @@ the closed-form fast path is gated on the brute enumerator, and the brute
 enumerator is gated on pure-Python loops written in this file.
 """
 
+import contextlib
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ import pytest
 from gammadep import (
     GammadepError,
     KernelPairSpec,
-    TupleBudget,
     brute_force_triple,
     build_pair_matrices,
     fast_triple_pair,
@@ -23,7 +25,9 @@ from gammadep import (
     permutation_sigma0_sq,
     validate_sample,
 )
-from gammadep.ustat import EnumerationCore, PairStatCore, _tuple_columns
+from gammadep import kernels, ustat
+from gammadep.ustat import EnumerationCore, PairStatCore, _tuple_columns, enumeration_peak_bytes
+from gammadep.variance import jackknife_brute
 
 
 def dcov_sample(rng, n, d1=3, d2=2, dependent=False):
@@ -32,6 +36,22 @@ def dcov_sample(rng, n, d1=3, d2=2, dependent=False):
     if dependent:
         y = y + 0.7 * x[:, :d2]
     return validate_sample(x, y)
+
+
+@contextlib.contextmanager
+def refused_before_building():
+    """Expect TOO_LARGE from the block, raised before a tuple column or a
+    value table is built; yields a reader of the error's message."""
+
+    def refuse(*args):
+        raise AssertionError("built before the size checks")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ustat, "_tuple_columns", refuse)
+        mp.setattr(ustat, "value_table", refuse)
+        with pytest.raises(GammadepError) as exc:
+            yield lambda: str(exc.value)
+    assert exc.value.code == "TOO_LARGE"
 
 
 def hand_triple_pair(sample):
@@ -84,10 +104,11 @@ class TestBruteForceTriple:
         assert exc.value.code == "TOO_SMALL"
 
     def test_budget_enforced(self):
-        s = dcov_sample(np.random.default_rng(0), 9)
-        with pytest.raises(GammadepError) as exc:
-            brute_force_triple(s, KernelPairSpec.dcov(), TupleBudget(8))
-        assert exc.value.code == "TOO_LARGE"
+        # the tuple ceiling admits n = 57 at m = 4 and refuses n = 58 before
+        # any column is built
+        s = dcov_sample(np.random.default_rng(0), 58)
+        with refused_before_building():
+            brute_force_triple(s, KernelPairSpec.dcov())
 
     def test_component_means_match_population_under_independence(self):
         # with x and y independent every component estimates the same
@@ -114,10 +135,10 @@ class TestBruteForceTriple:
             assert abs(comps[:, k].mean() - target) < 3 * se + 0.01
 
     def test_tuple_ceiling_is_absolute(self):
-        # a generous budget still refuses an enumeration past ~1e7 tuples
-        with pytest.raises(GammadepError) as exc:
-            TupleBudget(60).check(50, 5)
-        assert exc.value.code == "TOO_LARGE"
+        # the ceiling is the last size under 1e7 tuples for either arity,
+        # whatever the memory available
+        assert math.perm(57, 4) <= ustat._MAX_TUPLES < math.perm(58, 4)
+        assert math.perm(27, 5) <= ustat._MAX_TUPLES < math.perm(28, 5)
 
     def test_unbiased_under_independence(self):
         # mean of (s1 + s2 - 2 s3) over many independent draws sits within
@@ -442,15 +463,15 @@ class TestEnumerationCore:
                 for name in ("s1", "s2", "s3", "u", "v", "mu1"):
                     assert getattr(ft, name) == pytest.approx(getattr(bt, name), abs=1e-10)
 
-    def test_tuple_cache_holds_one_size(self):
-        rng = np.random.default_rng(21)
-        spec = KernelPairSpec.dcov()
-        for n in (6, 7, 8):
-            EnumerationCore(dcov_sample(rng, n), spec)
-        assert _tuple_columns.cache_info().currsize == 1
-        cols = _tuple_columns(8, 4)
-        assert _tuple_columns.cache_info().currsize == 1
-        assert all(not col.flags.writeable for col in cols)
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_tuple_columns_follow_permutations_order(self, m):
+        for n in range(m, 10):
+            want = np.array(list(itertools.permutations(range(n), m)), dtype=np.intp)
+            cols = _tuple_columns(n, m)
+            assert len(cols) == m
+            for k, col in enumerate(cols):
+                assert col.dtype == np.intp
+                assert np.array_equal(col, want[:, k])
 
     def test_pcov_size_is_checked_on_construction(self):
         # the pair kernels' checks are TestBruteForceTriple's
@@ -458,6 +479,63 @@ class TestEnumerationCore:
         with pytest.raises(GammadepError) as exc:
             EnumerationCore(dcov_sample(np.random.default_rng(0), 4), spec)
         assert exc.value.code == "TOO_SMALL"
+        with refused_before_building():
+            EnumerationCore(dcov_sample(np.random.default_rng(0), 28), spec)
+
+
+class TestEnumerationMemory:
+    """``enumeration_peak_bytes`` against the traced peak, and against
+    MemAvailable with the meminfo file swapped (as
+    ``tests/test_kernels.py::TestMemoryGuard`` does for the pair)."""
+
+    @pytest.mark.parametrize("kind, n", [("dcov", 30), ("dcov", 40), ("pcov", 16)])
+    def test_model_bounds_the_traced_peak(self, kind, n):
+        # one process: the build, a permuted triple and, for a pair kernel,
+        # the brute jackknife, each traced from before the core was built
+        spec = ENUM_SPECS[kind]
+        s = dcov_sample(np.random.default_rng(n), n, d1=2, d2=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            core = EnumerationCore(s, spec)
+            peaks = [tracemalloc.get_traced_memory()[1] - base]
+            tracemalloc.reset_peak()
+            core.triple(np.random.default_rng(0).permutation(n))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            if spec.is_pair_dependent:
+                tracemalloc.reset_peak()
+                jackknife_brute(core)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        model = enumeration_peak_bytes(n, spec.m, 2, workers=1)
+        assert 0.8 * model <= max(peaks) <= model
+
+    def test_model_counts_two_arrays_per_worker(self):
+        tuples = math.perm(20, 5)
+        one, two = (enumeration_peak_bytes(20, 5, 1, workers=w) for w in (1, 2))
+        assert two - one == 8 * (2 * tuples + 20**3)
+        cpus = os.cpu_count() or 1
+        assert enumeration_peak_bytes(20, 5, 1) == enumeration_peak_bytes(20, 5, 1, workers=cpus + 3)
+
+    def test_too_large_for_memory_is_refused_before_building(self, tmp_path, monkeypatch):
+        # 1 MB available: the largest sizes under the ceiling are refused
+        # for memory, not for their tuple count
+        path = tmp_path / "meminfo"
+        path.write_text("MemTotal: 4096 kB\nMemAvailable: 1024 kB\n", encoding="ascii")
+        monkeypatch.setattr(kernels, "_MEMINFO", str(path))
+        for kind, n in (("dcov", 57), ("pcov", 27), ("ghsic", 20)):
+            s = dcov_sample(np.random.default_rng(n), n)
+            with refused_before_building() as message:
+                brute_force_triple(s, ENUM_SPECS[kind])
+            assert "MB available" in message()
+
+    def test_threshold_is_the_model(self, monkeypatch):
+        s = dcov_sample(np.random.default_rng(5), 10)
+        need = enumeration_peak_bytes(10, 4, 3)
+        monkeypatch.setattr(kernels, "_mem_available", lambda: need)
+        brute_force_triple(s, KernelPairSpec.dcov())
+        monkeypatch.setattr(kernels, "_mem_available", lambda: need - 1)
         with pytest.raises(GammadepError) as exc:
-            EnumerationCore(dcov_sample(np.random.default_rng(0), 9), spec, TupleBudget(8))
+            brute_force_triple(s, KernelPairSpec.dcov())
         assert exc.value.code == "TOO_LARGE"

@@ -12,7 +12,6 @@ import pytest
 from gammadep import (
     GammadepError,
     KernelPairSpec,
-    TupleBudget,
     build_pair_matrices,
     jackknife_brute,
     jackknife_fast,
@@ -22,7 +21,8 @@ from gammadep import (
     validate_sample,
 )
 from gammadep.kernels import pack_rows
-from gammadep.ustat import PairStatCore
+from gammadep import ustat
+from gammadep.ustat import EnumerationCore, PairStatCore
 
 
 def make_sample(rng, n, dependent=False):
@@ -37,13 +37,13 @@ class TestJackknifeBrute:
     def test_constant_y_is_exactly_zero(self):
         s = validate_sample(np.random.default_rng(0).standard_normal((8, 2)), np.zeros((8, 1)))
         for spec in (KernelPairSpec.dcov(), KernelPairSpec.ghsic(1.0, 1.0)):
-            assert jackknife_brute(s, spec) == 0.0
+            assert jackknife_brute(EnumerationCore(s, spec)) == 0.0
 
     def test_positive_and_deterministic(self):
         rng = np.random.default_rng(1)
         s = make_sample(rng, 8)
-        a = jackknife_brute(s, KernelPairSpec.dcov())
-        b = jackknife_brute(s, KernelPairSpec.dcov())
+        a = jackknife_brute(EnumerationCore(s, KernelPairSpec.dcov()))
+        b = jackknife_brute(EnumerationCore(s, KernelPairSpec.dcov()))
         assert a > 0.0
         assert a == b
 
@@ -52,26 +52,32 @@ class TestJackknifeBrute:
         s = make_sample(rng, 9, dependent=True)
         perm = rng.permutation(9)
         sp = validate_sample(np.array(s.x)[perm], np.array(s.y)[perm])
-        a = jackknife_brute(s, KernelPairSpec.dcov())
-        b = jackknife_brute(sp, KernelPairSpec.dcov())
+        a = jackknife_brute(EnumerationCore(s, KernelPairSpec.dcov()))
+        b = jackknife_brute(EnumerationCore(sp, KernelPairSpec.dcov()))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_n_must_exceed_arity(self):
         s = make_sample(np.random.default_rng(3), 4)
         with pytest.raises(GammadepError) as exc:
-            jackknife_brute(s, KernelPairSpec.dcov())
+            jackknife_brute(EnumerationCore(s, KernelPairSpec.dcov()))
         assert exc.value.code == "TOO_SMALL"
 
-    def test_budget(self):
-        s = make_sample(np.random.default_rng(4), 9)
+    def test_budget(self, monkeypatch):
+        # past the tuple ceiling (n = 57 at m = 4) the core is refused
+        # before it builds a tuple column
+        def refuse(*args):
+            raise AssertionError("tuple columns built past the ceiling")
+
+        monkeypatch.setattr(ustat, "_tuple_columns", refuse)
+        s = make_sample(np.random.default_rng(4), 58)
         with pytest.raises(GammadepError) as exc:
-            jackknife_brute(s, KernelPairSpec.dcov(), TupleBudget(8))
+            jackknife_brute(EnumerationCore(s, KernelPairSpec.dcov()))
         assert exc.value.code == "TOO_LARGE"
 
     def test_pair_kernels_only(self):
         s = make_sample(np.random.default_rng(5), 8)
         with pytest.raises(GammadepError) as exc:
-            jackknife_brute(s, KernelPairSpec.pcov())
+            jackknife_brute(EnumerationCore(s, KernelPairSpec.pcov()))
         assert exc.value.code == "PAIR_KERNEL_REQUIRED"
 
     @pytest.mark.parametrize("kind", ["dcov", "ghsic"])
@@ -87,7 +93,7 @@ class TestJackknifeBrute:
                 monkeypatch.setattr(mod, "build_pair_matrices", refuse)
         s = make_sample(np.random.default_rng(11), 9, dependent=True)
         spec = KernelPairSpec.dcov() if kind == "dcov" else KernelPairSpec.ghsic(1.0, 1.5)
-        assert jackknife_brute(s, spec) > 0.0
+        assert jackknife_brute(EnumerationCore(s, spec)) > 0.0
 
 
 class TestJackknifeFast:
@@ -95,7 +101,7 @@ class TestJackknifeFast:
         rng = np.random.default_rng(6)
         s = make_sample(rng, 9, dependent=True)
         spec = KernelPairSpec.dcov()
-        jb = jackknife_brute(s, spec)
+        jb = jackknife_brute(EnumerationCore(s, spec))
         jf = jackknife_fast(build_pair_matrices(s, spec))
         assert jf == pytest.approx(jb, abs=1e-10)
 
@@ -103,7 +109,7 @@ class TestJackknifeFast:
         rng = np.random.default_rng(7)
         s = make_sample(rng, 10)
         spec = KernelPairSpec.ghsic(median_bandwidth(s.x), median_bandwidth(s.y))
-        jb = jackknife_brute(s, spec)
+        jb = jackknife_brute(EnumerationCore(s, spec))
         jf = jackknife_fast(build_pair_matrices(s, spec))
         assert jf == pytest.approx(jb, abs=1e-10)
 
@@ -113,7 +119,7 @@ class TestJackknifeFast:
             n = 6 + seed % 6
             s = make_sample(rng, n, dependent=seed % 2 == 0)
             spec = KernelPairSpec.dcov()
-            jb = jackknife_brute(s, spec)
+            jb = jackknife_brute(EnumerationCore(s, spec))
             jf = jackknife_fast(build_pair_matrices(s, spec))
             assert jf == pytest.approx(jb, abs=1e-10)
 
@@ -222,7 +228,7 @@ class TestReadsThePairsSums:
         s = make_sample(np.random.default_rng(17), 8, dependent=True)
         spec = KernelPairSpec.dcov()
         assert type(jackknife_fast(build_pair_matrices(s, spec))) is float
-        assert type(jackknife_brute(s, spec)) is float
+        assert type(jackknife_brute(EnumerationCore(s, spec))) is float
         assert type(permutation_sigma0_sq(build_pair_matrices(s, spec))) is float
 
 class TestConsistencySmoke:
