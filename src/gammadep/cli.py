@@ -225,7 +225,7 @@ def run_oracle_suite(
     pair kernels' arity.
     """
     lo, hi = n_range
-    check_seed(seed)
+    seed = check_seed(seed)
     if seeds < 1:
         raise fail("BAD_SEEDS", f"need at least one seed, got {seeds}")
     if lo < 4:

@@ -11,13 +11,15 @@ replicate runs only the first two:
    (kernel matrices are built once: permuting y rows permutes the rows and
    columns of B, so each replicate is a row-blocked gather of B against A,
    about 256 KB per block with no n x n temporary, plus O(n) reductions).
-   From B n^2 >= ``_FORK_MIN_WORK`` on (where a forked worker was measured
-   to pay) b = 1..B runs as ``min(threads, cpu count)`` contiguous blocks:
-   the calling process runs the first and a forked child each other one,
-   reading A and B copy-on-write and sending back its rows of mu_hat
-   through a pipe. Fork is used on Linux only; elsewhere the blocks run
-   serially. The (B+1) x L pool is then scaled once by the rate row
-   ``rate_w(n, gamma)``;
+   From B times the work of one permutation >= ``_FORK_MIN_WORK`` on
+   (where a forked worker was measured to pay; the work is n^2 for a pair
+   kernel and the (n)_m tuples of an enumeration) b = 1..B runs as
+   ``min(threads, cpu count)`` contiguous blocks: the calling process runs
+   the first and a forked child each other one, reading A and B
+   copy-on-write and writing its rows of mu_hat in place into a pool
+   shared with the parent. Fork is used on Linux only; elsewhere the
+   blocks run serially. The (B+1) x L pool is then scaled once by the rate
+   row ``rate_w(n, gamma)``;
 3. per-exponent p-values, one row per pool member, each column ranked
    leave-one-out inside the shared pool with the add-one rule;
 4. combined statistics (fisher / min / cauchy) for every pool member, each
@@ -34,8 +36,9 @@ execution order.
 from __future__ import annotations
 
 import math
+import mmap
+import operator
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -61,11 +64,14 @@ from .metric import gamma_stats, rate_w
 from .ustat import stat_core_for
 from .variance import jackknife_fast, permutation_sigma0_sq
 
-# Smallest B n^2 whose permutation blocks run in forked workers. A dcov
-# pool at d = 5 on 2 cores, serial against 2 processes, 11 alternating
-# calls: B = 50 at n = 200 (2e6) and B = 19 at n = 400 and 500 (3e6, 4.8e6)
-# were faster forked in 6, 7 and 5 of 11; every cell from 8e6 on, B = 19
-# to 200, won at least 9 of 11.
+# Smallest B times the work of one permutation (n^2 entries for a pair
+# kernel, (n)_m tuples for an enumeration) whose permutation blocks run in
+# forked workers. A dcov pool at d = 5 on 2 cores, serial against 2
+# processes, 11 alternating calls: B = 50 at n = 200 (2e6) and B = 19 at
+# n = 400 and 500 (3e6, 4.8e6) were faster forked in 6, 7 and 5 of 11;
+# every cell from 8e6 on, B = 19 to 200, won at least 9 of 11. A pcov test
+# at n = 20, B = 39 (7.3e7 tuples) took 2.1-2.3 s serial and 1.3-1.5 s
+# forked on the same 2 cores.
 _FORK_MIN_WORK = 8_000_000
 
 _MASK64 = (1 << 64) - 1
@@ -93,11 +99,17 @@ def derive_seed(master: int, *path: int) -> int:
     return out
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a run seed outside [0, 2**64): every stream is keyed by a
-    64-bit value, so any other seed would alias one inside the range."""
-    if not (0 <= seed <= _MASK64):
-        raise fail("SEED_RANGE", f"seed must be in [0, 2**64), got {seed}")
+def check_seed(seed: int) -> int:
+    """The run seed as a Python int, after refusing anything but an integer
+    in [0, 2**64): every stream is keyed by a 64-bit value, so any other
+    seed would alias one inside the range."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not (0 <= value <= _MASK64):
+        raise fail("SEED_RANGE", f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -108,11 +120,16 @@ class PermutationPlan:
     seed: int
 
     def __post_init__(self):
-        if self.b_count < 1:
-            raise fail("BAD_PLAN", f"b_count must be positive, got {self.b_count}")
+        try:
+            b_count = operator.index(self.b_count)
+        except TypeError:
+            b_count = 0
+        if b_count < 1:
+            raise fail("BAD_PLAN", f"b_count must be a positive integer, got {self.b_count!r}")
         if self.seed is None:
             raise fail("SEED_REQUIRED", "permutation plan must carry a seed")
-        check_seed(int(self.seed))
+        object.__setattr__(self, "b_count", b_count)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def permutation(self, b: int, n: int) -> np.ndarray:
         """The b-th permutation of range(n); pure function of (seed, b)."""
@@ -247,15 +264,25 @@ def permutation_pool(
     b_count = plan.b_count
 
     triple0 = core.triple(None)
-    mu = np.empty((b_count + 1, len(glist)), dtype=np.float64)
+    work = n * n if spec.is_pair_dependent else math.perm(n, spec.m)
+    workers = min(threads, os.cpu_count() or 1) if b_count * work >= _FORK_MIN_WORK else 1
+    forked = workers > 1 and sys.platform == "linux" and hasattr(os, "fork")
+    shape = (b_count + 1, len(glist))
+    if forked:
+        # an anonymous mapping is shared with the children, so each writes
+        # its rows in place; every row gamma_stats writes is finite, so a
+        # NaN left in a child's rows means the child never wrote them
+        mu = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+        mu.fill(np.nan)
+    else:
+        mu = np.empty(shape, dtype=np.float64)
     mu[0] = gamma_stats(triple0, gammas)
 
     def fill(lo: int, hi: int) -> None:
         for b in range(lo, hi):
             mu[b] = gamma_stats(core.triple(plan.permutation(b, n)), gammas)
 
-    workers = min(threads, os.cpu_count() or 1) if b_count * n * n >= _FORK_MIN_WORK else 1
-    if workers > 1 and sys.platform == "linux" and hasattr(os, "fork"):
+    if forked:
         edges = [1 + b_count * k // workers for k in range(workers + 1)]
         _forked_fill(fill, mu, list(zip(edges[:-1], edges[1:])))
     else:
@@ -269,75 +296,52 @@ def permutation_pool(
 
 
 def _forked_fill(fill, rows: np.ndarray, blocks: list) -> None:
-    """Run ``fill(lo, hi)`` for every (lo, hi) block into ``rows``: the first
-    block in this process, each other non-empty one in a forked child that
-    sends its float64 rows back through a pipe and leaves by ``os._exit``.
+    """Run ``fill(lo, hi)`` for every (lo, hi) block of ``rows``, a NaN-filled
+    array shared with forked children: the first block in this process,
+    each other non-empty one in a child that writes its rows in place and
+    leaves by ``os._exit``, with status 1 if ``fill`` raised.
 
-    Blocks are read in order, so of several failing blocks the lowest one's
-    error is raised: a child's exception is pickled back and raised as it
-    is, and a child killed by a signal or that sends too few bytes gives
-    WORKER_FAILED. Every child is reaped before this returns or raises; on
-    any error, KeyboardInterrupt too, the ones still running are killed.
+    Children are reaped in block order. A block whose child exited with
+    status 1 is run again here, so a deterministic error is raised as the
+    serial run raises it and, of several failing blocks, the lowest one's
+    wins. A child killed by a signal, with any other status, or that left
+    NaN in its rows gives WORKER_FAILED; its block is not run again, since
+    what killed it could take this process too. Every child is reaped
+    before this returns or raises; on any error, KeyboardInterrupt too,
+    the ones still running are killed.
     """
-    children = []  # [pid, read fd, lo, hi]; pid is None when none is running
+    children = []  # [pid, lo, hi]; pid is None once reaped
     try:
         for lo, hi in blocks[1:]:
             if lo == hi:
                 continue
-            r, w = os.pipe()
-            children.append([None, r, lo, hi])
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child_fill(fill, rows, lo, hi, w)
-                children[-1][0] = pid
-            finally:
-                os.close(w)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    fill(lo, hi)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append([pid, lo, hi])
         fill(*blocks[0])
         for child in children:
-            pid, r, lo, hi = child
-            payload = bytearray()
-            while chunk := os.read(r, 1 << 16):
-                payload += chunk
+            pid, lo, hi = child
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             child[0] = None
-            want = rows[lo:hi].nbytes
-            if status == 0 and len(payload) == want:
-                rows[lo:hi] = np.frombuffer(payload, dtype=rows.dtype).reshape(rows[lo:hi].shape)
-                continue
-            if status == 1 and payload:
-                raise pickle.loads(payload)
-            how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
-            raise fail(
-                "WORKER_FAILED",
-                f"permutation worker for b = {lo}..{hi - 1} ended with {how} "
-                f"after sending {len(payload)} of {want} bytes",
-            )
+            if status == 1:
+                fill(lo, hi)
+            elif status != 0 or np.isnan(rows[lo:hi]).any():
+                how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+                if status == 0:
+                    how += " before writing its rows"
+                raise fail("WORKER_FAILED", f"permutation worker for b = {lo}..{hi - 1} {how}")
     finally:
         running = [pid for pid, *_ in children if pid is not None]
         for pid in running:
             os.kill(pid, signal.SIGKILL)
         for pid in running:
             os.waitpid(pid, 0)
-        for _, r, *_ in children:
-            os.close(r)
-
-
-def _child_fill(fill, rows: np.ndarray, lo: int, hi: int, w: int):
-    """In a forked child: fill rows [lo, hi) and write them to fd ``w`` with
-    exit status 0, or write the pickled exception with status 1. Never
-    returns, so no code of the parent's stack runs twice."""
-    status = 1
-    try:
-        try:
-            fill(lo, hi)
-            payload, status = rows[lo:hi].tobytes(), 0
-        except BaseException as exc:
-            payload = pickle.dumps(exc)
-        with open(w, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(status)
 
 
 def permutation_pvalues(scaled: np.ndarray, combiners: tuple, tie_mode: str):
@@ -405,7 +409,7 @@ def permutation_test(
 
     meta = {
         "b_count": plan.b_count,
-        "seed": int(plan.seed),
+        "seed": plan.seed,
         "kernel": spec,
         "gammas": glist,
         "n": n,

@@ -125,7 +125,7 @@ class SimConfig:
             raise fail("BAD_DIM", f"{self.model} needs d2 == d1, got {self.d1} vs {self.d2}")
         if not (0.0 < self.alpha < 1.0):
             raise fail("BAD_ALPHA", f"alpha must be in (0, 1), got {self.alpha}")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.kappa is None and self.model in MODELS:
             object.__setattr__(self, "kappa", KAPPA_DEFAULTS[(self.model, self.error)])
         if self.kappa is not None and not (0.0 <= self.kappa < math.inf):
@@ -303,8 +303,9 @@ def size_power_experiment(
     replication runs the permutation pool and its p-values, not a full
     ``permutation_test`` (no jackknife, no report), and keeps row 0 of its
     p-value matrix. The pool splits its permutations over ``threads``
-    forked worker processes only from B n^2 >= ``inference._FORK_MIN_WORK``
-    (8e6) on. Each replication derives its data and permutation seeds from
+    forked worker processes only from B times the work of one permutation
+    (n^2 for a pair kernel) >= ``inference._FORK_MIN_WORK`` (8e6) on. Each
+    replication derives its data and permutation seeds from
     (cfg.seed, rep), so the table is reproducible from the config alone and
     invariant to the worker count.
     """

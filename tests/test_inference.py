@@ -196,6 +196,36 @@ class TestPermutationPlan:
         with pytest.raises(GammadepError):
             PermutationPlan(0, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", 3.0])
+    def test_seed_that_is_not_an_integer(self, seed):
+        # refused when the plan is built, not at the first draw
+        with pytest.raises(GammadepError) as exc:
+            PermutationPlan(10, seed)
+        assert exc.value.code == "SEED_RANGE"
+        assert str(exc.value) == f"SEED_RANGE: seed must be an integer in [0, 2**64), got {seed!r}"
+
+    @pytest.mark.parametrize("b_count", [2.5, 10.0, "10"])
+    def test_b_count_that_is_not_an_integer(self, b_count):
+        with pytest.raises(GammadepError) as exc:
+            PermutationPlan(b_count, 1)
+        assert exc.value.code == "BAD_PLAN"
+
+    @pytest.mark.parametrize("seed", [np.uint64(3), np.int64(3), np.uint64(2**64 - 1)])
+    def test_numpy_integers_are_stored_as_python_ints(self, seed):
+        # a numpy seed would overflow _mix64's wrapping multiplies with a
+        # RuntimeWarning; stored as a Python int it draws the int seed's
+        # permutations, warning-free
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = PermutationPlan(np.int64(5), seed)
+            perms = [plan.permutation(b, 30) for b in range(1, 6)]
+        assert type(plan.seed) is int and type(plan.b_count) is int
+        assert (plan.b_count, plan.seed) == (5, int(seed))
+        same = PermutationPlan(5, int(seed))
+        assert all(np.array_equal(p, same.permutation(b, 30)) for b, p in zip(range(1, 6), perms))
+
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_equals_a_fresh_philox_per_draw(self, threads):
         # the re-keyed per-thread generator draws what a new Philox(key=...)
@@ -439,6 +469,20 @@ class TestPermutationTest:
         assert seen == [8]
         assert [below, at] == serial
 
+    def test_pcov_forks_by_its_tuple_count(self, monkeypatch):
+        # a pcov permutation reads (n)_5 tuples, not n^2 entries: B = 39 at
+        # n = 20 is 7.3e7 tuples and forks, at n = 12 it is 3.7e6 and does not
+        assert 39 * 20**2 < 39 * math.perm(12, 5) < _FORK_MIN_WORK <= 39 * math.perm(20, 5)
+        spec, gammas = KernelPairSpec.pcov(), GammaSet((1, 2, INFINITY))
+        for n, pools in ((20, [2]), (12, [])):
+            args = (small_sample(23, n=n), spec, gammas, PermutationPlan(39, 4))
+            serial = permutation_test(*args, threads=1)
+            with monkeypatch.context() as patch:
+                seen = record_pools(patch, cpu_count=2)
+                assert permutation_test(*args, threads=2) == serial
+            assert seen == pools
+        assert_no_child()
+
     def test_rate_row_built_once_per_test(self, monkeypatch):
         # rate_w depends only on (n, gamma): L calls per test, while the
         # metric still runs once per replicate
@@ -592,8 +636,51 @@ class TestForkedWorkers:
             permutation_test(*self._args(17), threads=2)
         assert seen == [2]
         assert exc.value.code == "WORKER_FAILED"
-        expected = "killed by signal 9" if how == "killed" else "exit status 0 after sending 0 of 248 bytes"
+        expected = "was killed by signal 9" if how == "killed" else "exited with status 0 before writing its rows"
         assert expected in str(exc.value)
+        assert_no_child()
+
+    def test_an_error_only_in_the_child_leaves_the_serial_report(self, monkeypatch):
+        # the child exits with status 1; this process runs its block again,
+        # where the error does not recur, and fills the rows correctly
+        import os
+
+        parent = os.getpid()
+        args = self._args(21, GammaSet.default())
+        serial = permutation_test(*args, threads=1)
+
+        def child_only(b):
+            if os.getpid() != parent:
+                raise RuntimeError("only in the child")
+
+        fail_at(monkeypatch, child_only, {45})
+        seen = record_pools(monkeypatch, cpu_count=2)
+        assert permutation_test(*args, threads=2) == serial
+        assert seen == [2]
+        assert_no_child()
+
+    def test_empty_blocks_fork_nothing(self, monkeypatch):
+        # B = 2 over 4 workers: blocks (1, 1), (1, 2), (2, 2) and (2, 3); this
+        # process runs the empty first block and only two children fork
+        import os
+
+        args = (small_sample(22, n=12), KernelPairSpec.dcov(), GammaSet.default(), PermutationPlan(2, 7))
+        serial = permutation_test(*args, threads=1)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(inference, "_FORK_MIN_WORK", 1)
+        seen = record_pools(monkeypatch, cpu_count=4)
+        monkeypatch.setattr(os, "fork", fork)
+        assert permutation_test(*args, threads=4) == serial
+        assert seen == [4]
+        assert len(forks) == 2
         assert_no_child()
 
     @pytest.mark.parametrize("error", [fail("NONFINITE", "injected overflow"), KeyboardInterrupt()])

@@ -96,6 +96,8 @@ class TestSimConfig:
             ({"model": "null-b", "kappa": 0.0}, "BAD_KAPPA"),
             ({"model": "m1", "seed": -1}, "SEED_RANGE"),
             ({"model": "m1", "seed": 2**64}, "SEED_RANGE"),
+            ({"model": "m1", "seed": 1.5}, "SEED_RANGE"),
+            ({"model": "m1", "seed": "7"}, "SEED_RANGE"),
         ],
     )
     def test_inputs_that_cannot_apply_are_refused(self, overrides, code):
@@ -104,6 +106,11 @@ class TestSimConfig:
         with pytest.raises(GammadepError) as exc:
             SimConfig(n=20, d1=3, d2=3, **overrides)
         assert exc.value.code == code
+
+    def test_numpy_seed_is_stored_as_a_python_int(self):
+        cfg = SimConfig(model="m1", n=20, d1=3, d2=3, seed=np.uint64(7))
+        assert type(cfg.seed) is int
+        assert cfg == SimConfig(model="m1", n=20, d1=3, d2=3, seed=7)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GammadepError) as exc:
