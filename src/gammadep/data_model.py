@@ -20,6 +20,9 @@ GHSIC = "ghsic"
 PCOV = "pcov"
 
 _KERNEL_ARITY = {DCOV: 4, GHSIC: 4, PCOV: 5}
+# kernels whose value depends on two arguments only, and so have an O(n^2)
+# fast path; pcov, the angle kernel, is enumerated
+PAIR_KERNELS = (DCOV, GHSIC)
 
 
 class _Infinity:
@@ -216,7 +219,7 @@ class KernelPairSpec:
     @property
     def is_pair_dependent(self) -> bool:
         """True when the kernel value depends on two arguments only."""
-        return self.id in (DCOV, GHSIC)
+        return self.id in PAIR_KERNELS
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ replicate runs only the first two:
    (kernel matrices are built once: permuting y rows permutes the rows and
    columns of B, so each replicate is a row-blocked gather of B against A,
    about 256 KB per block with no n x n temporary, plus O(n) reductions).
-   From B times the work of one permutation >= ``_FORK_MIN_WORK`` on
+   The rows b = 1..B are filled by ``fill_rows``, the one fork helper:
+   from B times the work of one permutation >= ``_FORK_MIN_WORK`` on
    (where a forked worker was measured to pay; the work is n^2 for a pair
-   kernel and the (n)_m tuples of an enumeration) b = 1..B runs as
+   kernel and the (n)_m tuples of an enumeration) they run as
    ``min(threads, cpu count)`` contiguous blocks: the calling process runs
    the first and a forked child each other one, reading A and B
    copy-on-write and writing its rows of mu_hat in place into a pool
@@ -31,6 +32,13 @@ replicate runs only the first two:
 Every permutation is a pure function of (seed, b) through a counter-based
 generator, so reports are identical regardless of worker count or
 execution order.
+
+``simgen.size_power_experiment`` fills its reps x methods p-value table
+through the same ``fill_rows``: a forked child runs a contiguous chunk of
+replications, each running steps 1-5 with a serial pool, with work counted
+as reps times B times the work of one permutation. Unlike the pool's
+workers, chunks share no matrices, so their count is also capped at the
+replication peaks (``pool_run_bytes``) that the memory available holds.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import (
+    PAIR_KERNELS,
     CombinedResult,
     Gamma,
     GammaResult,
@@ -59,9 +68,9 @@ from .data_model import (
 )
 
 from .errors import fail
-from .kernels import check_fits
+from .kernels import check_fits, copies_that_fit, pair_peak_bytes
 from .metric import gamma_stats, rate_w
-from .ustat import stat_core_for
+from .ustat import enumeration_peak_bytes, stat_core_for
 from .variance import jackknife_fast, permutation_sigma0_sq
 
 # Smallest B times the work of one permutation (n^2 entries for a pair
@@ -246,6 +255,63 @@ def pool_peak_bytes(rows: int, n_gamma: int) -> int:
     return 8 * rows * (6 * n_gamma + 2 * len(COMBINERS) + 5)
 
 
+def permutation_work(n: int, kind: str) -> int:
+    """The work of one permutation at n rows, as the fork threshold counts
+    it: n^2 kernel entries for a pair kernel, the (n)_m tuples of an
+    enumeration for pcov. An unknown kernel is BAD_KERNEL."""
+    return n * n if kind in PAIR_KERNELS else math.perm(n, KernelPairSpec(kind).m)
+
+
+def pool_run_bytes(n: int, d: int, kind: str, rows: int, n_gamma: int) -> int:
+    """Byte model of one pool run in one process at n rows of at most d
+    columns a side: its stat core at one worker (``pair_peak_bytes`` or
+    ``enumeration_peak_bytes``) and its ``pool_peak_bytes``."""
+    if kind in PAIR_KERNELS:
+        core = pair_peak_bytes(n, d, 1)
+    else:
+        core = enumeration_peak_bytes(n, KernelPairSpec(kind).m, d, 1)
+    return core + pool_peak_bytes(rows, n_gamma)
+
+
+def fill_rows(row, shape: tuple, first: int, work: int, threads: int, label: str, worker_bytes: int = 0):
+    """A float64 table of ``shape`` whose rows i = first.. hold ``row(i)``;
+    rows before ``first`` are left to the caller.
+
+    ``work`` counts all those rows as the fork threshold does. From
+    ``_FORK_MIN_WORK`` on, the rows run as ``min(threads, cpu count)``
+    contiguous blocks through ``_forked_fill``, in a NaN-filled anonymous
+    mapping shared with the children, on Linux; a positive
+    ``worker_bytes``, the peak one block adds, lowers that count to the
+    blocks that fit side by side in the memory available, at least 1. Else
+    the rows run here in order, into ``np.empty``. ``label`` names a row in
+    a WORKER_FAILED message.
+    """
+    workers = min(threads, os.cpu_count() or 1) if work >= _FORK_MIN_WORK else 1
+    if workers > 1 and worker_bytes > 0:
+        workers = copies_that_fit(worker_bytes, workers)
+    forked = workers > 1 and sys.platform == "linux" and hasattr(os, "fork")
+    if forked:
+        # an anonymous mapping is shared with the children, so each writes
+        # its rows in place; every row written is finite, so a NaN left in
+        # a child's rows means the child never wrote them
+        table = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+        table.fill(np.nan)
+    else:
+        table = np.empty(shape, dtype=np.float64)
+
+    def fill(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            table[i] = row(i)
+
+    size = shape[0]
+    if forked:
+        edges = [first + (size - first) * k // workers for k in range(workers + 1)]
+        _forked_fill(fill, table, list(zip(edges[:-1], edges[1:])), label)
+    else:
+        fill(first, size)
+    return table
+
+
 def permutation_pool(
     sample: Sample, spec: KernelPairSpec, gammas: GammaSet, plan: PermutationPlan, *, threads: int = 1
 ):
@@ -264,29 +330,15 @@ def permutation_pool(
     b_count = plan.b_count
 
     triple0 = core.triple(None)
-    work = n * n if spec.is_pair_dependent else math.perm(n, spec.m)
-    workers = min(threads, os.cpu_count() or 1) if b_count * work >= _FORK_MIN_WORK else 1
-    forked = workers > 1 and sys.platform == "linux" and hasattr(os, "fork")
-    shape = (b_count + 1, len(glist))
-    if forked:
-        # an anonymous mapping is shared with the children, so each writes
-        # its rows in place; every row gamma_stats writes is finite, so a
-        # NaN left in a child's rows means the child never wrote them
-        mu = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
-        mu.fill(np.nan)
-    else:
-        mu = np.empty(shape, dtype=np.float64)
+    mu = fill_rows(
+        lambda b: gamma_stats(core.triple(plan.permutation(b, n)), gammas),
+        (b_count + 1, len(glist)),
+        1,
+        b_count * permutation_work(n, spec.id),
+        threads,
+        "b",
+    )
     mu[0] = gamma_stats(triple0, gammas)
-
-    def fill(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            mu[b] = gamma_stats(core.triple(plan.permutation(b, n)), gammas)
-
-    if forked:
-        edges = [1 + b_count * k // workers for k in range(workers + 1)]
-        _forked_fill(fill, mu, list(zip(edges[:-1], edges[1:])))
-    else:
-        fill(1, b_count + 1)
     scaled = mu * np.array([rate_w(n, g) for g in glist])
     finite = np.isfinite(scaled).all(axis=0)
     if not finite.all():
@@ -295,7 +347,7 @@ def permutation_pool(
     return core, triple0, mu, scaled
 
 
-def _forked_fill(fill, rows: np.ndarray, blocks: list) -> None:
+def _forked_fill(fill, rows: np.ndarray, blocks: list, label: str) -> None:
     """Run ``fill(lo, hi)`` for every (lo, hi) block of ``rows``, a NaN-filled
     array shared with forked children: the first block in this process,
     each other non-empty one in a child that writes its rows in place and
@@ -305,10 +357,11 @@ def _forked_fill(fill, rows: np.ndarray, blocks: list) -> None:
     status 1 is run again here, so a deterministic error is raised as the
     serial run raises it and, of several failing blocks, the lowest one's
     wins. A child killed by a signal, with any other status, or that left
-    NaN in its rows gives WORKER_FAILED; its block is not run again, since
-    what killed it could take this process too. Every child is reaped
-    before this returns or raises; on any error, KeyboardInterrupt too,
-    the ones still running are killed.
+    NaN in its rows gives WORKER_FAILED, which names the block's rows as
+    ``label`` = lo..hi-1; its block is not run again, since what killed it
+    could take this process too. Every child is reaped before this returns
+    or raises; on any error, KeyboardInterrupt too, the ones still running
+    are killed.
     """
     children = []  # [pid, lo, hi]; pid is None once reaped
     try:
@@ -335,7 +388,7 @@ def _forked_fill(fill, rows: np.ndarray, blocks: list) -> None:
                 how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
                 if status == 0:
                     how += " before writing its rows"
-                raise fail("WORKER_FAILED", f"permutation worker for b = {lo}..{hi - 1} {how}")
+                raise fail("WORKER_FAILED", f"forked worker for {label} = {lo}..{hi - 1} {how}")
     finally:
         running = [pid for pid, *_ in children if pid is not None]
         for pid in running:

@@ -23,7 +23,8 @@ TOO_LARGE. ``build_pair_matrices`` and the ghsic median pass in
 ``resolve_kernel_spec`` call it on ``pair_peak_bytes`` before their first
 n x n allocation, ``ustat.EnumerationCore`` on its own model before it
 builds a tuple, and ``inference.permutation_pool`` on the pool's before its
-first (B+1)-row array.
+first (B+1)-row array. ``copies_that_fit`` reads the same MemAvailable to
+cap how many forked replication chunks run side by side.
 
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
@@ -162,6 +163,18 @@ def check_fits(need: int, what: str) -> None:
             "TOO_LARGE",
             f"{what} needs about {need / 2**20:.0f} MB, {avail / 2**20:.0f} MB available",
         )
+
+
+def copies_that_fit(each: int, most: int) -> int:
+    """How many runs of ``each`` bytes fit side by side in the memory
+    available now: at most ``most``, at least 1, and ``most`` where
+    MemAvailable cannot be read. Read once, before the runs start, since
+    each run's own ``check_fits`` cannot see what its siblings will
+    allocate."""
+    avail = _mem_available()
+    if avail is None:
+        return most
+    return max(1, min(most, avail // each))
 
 
 def _pairwise_distances(matrix: np.ndarray) -> np.ndarray:

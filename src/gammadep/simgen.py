@@ -34,7 +34,7 @@ import numpy as np
 from .data_model import GammaSet, KernelPairSpec, Sample, validate_sample
 from .errors import fail
 from .inference import COMBINERS, PermutationPlan, check_plan, check_seed, derive_seed
-from .inference import permutation_pool, permutation_pvalues
+from .inference import fill_rows, permutation_pool, permutation_pvalues, permutation_work, pool_run_bytes
 from .kernels import F1, F2, kernel_values, resolve_kernel_spec
 
 # each null design draws x and y independently from one error family
@@ -299,13 +299,17 @@ def size_power_experiment(
 ) -> SizePowerResult:
     """Rejection frequencies of every per-exponent test and combiner.
 
-    The combiners and tie mode are checked once, before any draw. Each
-    replication runs the permutation pool and its p-values, not a full
+    The kernel, combiners and tie mode are checked once, before any draw.
+    Each replication runs the permutation pool and its p-values, not a full
     ``permutation_test`` (no jackknife, no report), and keeps row 0 of its
-    p-value matrix. The pool splits its permutations over ``threads``
-    forked worker processes only from B times the work of one permutation
-    (n^2 for a pair kernel) >= ``inference._FORK_MIN_WORK`` (8e6) on. Each
-    replication derives its data and permutation seeds from
+    p-value matrix as its row of the reps x methods table. The table is
+    filled by ``inference.fill_rows``: from reps times B times the work of
+    one permutation (n^2 for a pair kernel) >= ``inference._FORK_MIN_WORK``
+    (8e6) on, contiguous chunks of replications run in up to ``threads``
+    forked processes, no more than the replication peaks
+    (``inference.pool_run_bytes``) that fit in the memory available. Each
+    replication's pool runs serially in its chunk, so there is one parallel
+    layer. Each replication derives its data and permutation seeds from
     (cfg.seed, rep), so the table is reproducible from the config alone and
     invariant to the worker count.
     """
@@ -313,16 +317,19 @@ def size_power_experiment(
         raise fail("TOO_FEW_REPS", f"need reps >= 100, got {cfg.reps}")
     combiners = check_plan(combiners, tie_mode)
     methods = tuple(f"T{g}" for g in gammas) + combiners
+    kind = kernel.lower()
+    work = cfg.reps * cfg.b_count * permutation_work(cfg.n, kind)
+    peak = pool_run_bytes(cfg.n, max(cfg.d1, cfg.d2), kind, cfg.b_count + 1, len(gammas))
 
-    pvals = np.empty((cfg.reps, len(methods)), dtype=np.float64)
-    for rep in range(cfg.reps):
+    def replication(rep: int) -> np.ndarray:
         sample = gen_model(cfg, _rng(derive_seed(cfg.seed, 0, rep)))
-        spec = resolve_kernel_spec(kernel, sample)
+        spec = resolve_kernel_spec(kind, sample)
         plan = PermutationPlan(cfg.b_count, derive_seed(cfg.seed, 1, rep))
-        *_, scaled = permutation_pool(sample, spec, gammas, plan, threads=threads)
+        *_, scaled = permutation_pool(sample, spec, gammas, plan, threads=1)
         p, _ = permutation_pvalues(scaled, combiners, tie_mode)
-        pvals[rep] = p[0]
+        return p[0]
 
+    pvals = fill_rows(replication, (cfg.reps, len(methods)), 0, work, threads, "rep", peak)
     rejections = tuple(int(c) for c in np.sum(pvals <= cfg.alpha, axis=0))
     return SizePowerResult(
         methods=methods,

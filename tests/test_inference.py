@@ -287,7 +287,7 @@ class TestPermutationPlan:
 
 def record_pools(monkeypatch, cpu_count):
     """Patch the CPU count and record the number of blocks of every forked
-    fill ``permutation_pool`` runs."""
+    fill, of a permutation pool or of a size/power experiment."""
     import os
 
     from gammadep import inference
@@ -295,9 +295,9 @@ def record_pools(monkeypatch, cpu_count):
     seen = []
     real_fill = inference._forked_fill
 
-    def recording_fill(fill, rows, blocks):
+    def recording_fill(fill, rows, blocks, label):
         seen.append(len(blocks))
-        return real_fill(fill, rows, blocks)
+        return real_fill(fill, rows, blocks, label)
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     monkeypatch.setattr(inference, "_forked_fill", recording_fill)
@@ -609,8 +609,9 @@ class TestPermutationTest:
 
 
 class TestForkedWorkers:
-    """Failures and fork safety of the forked permutation blocks. B = 61
-    over 2 workers: this process runs b = 1..30 and one child b = 31..61."""
+    """Failures and fork safety of the forked permutation blocks and
+    replication chunks. B = 61 over 2 workers: this process runs b = 1..30
+    and one child b = 31..61."""
 
     @staticmethod
     def _args(seed, gammas=GammaSet((1,))):
@@ -657,6 +658,58 @@ class TestForkedWorkers:
         seen = record_pools(monkeypatch, cpu_count=2)
         assert permutation_test(*args, threads=2) == serial
         assert seen == [2]
+        assert_no_child()
+
+    @staticmethod
+    def _experiment(monkeypatch, seed):
+        """A size_power_experiment that forks: 100 reps over 2 workers, this
+        process runs rep = 0..49 and one child rep = 50..99, each
+        replication's pool serially."""
+        from gammadep import SimConfig, size_power_experiment
+
+        monkeypatch.setattr(inference, "_FORK_MIN_WORK", 1)
+        cfg = SimConfig(model="null-a", n=12, d1=2, d2=2, reps=100, b_count=19, seed=seed)
+        return lambda threads: size_power_experiment(cfg, GammaSet((1, 2)), threads=threads)
+
+    def test_a_killed_replication_chunk_is_worker_failed(self, monkeypatch):
+        import os
+        import signal
+
+        parent = os.getpid()
+
+        def die(b):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        run = self._experiment(monkeypatch, 23)
+        fail_at(monkeypatch, die, {7})
+        seen = record_pools(monkeypatch, cpu_count=2)
+        with pytest.raises(GammadepError) as exc:
+            run(2)
+        assert seen == [2]
+        assert exc.value.code == "WORKER_FAILED"
+        assert "worker for rep = 50..99 was killed by signal 9" in str(exc.value)
+        assert_no_child()
+
+    def test_an_error_only_in_a_replication_chunk_leaves_the_serial_table(self, monkeypatch):
+        # the child exits with status 1 at its first replication; this
+        # process runs reps 50..99 again, where the error does not recur
+        import os
+
+        parent = os.getpid()
+        run = self._experiment(monkeypatch, 24)
+        serial = run(1)
+
+        def child_only(b):
+            if os.getpid() != parent:
+                raise RuntimeError("only in the child")
+
+        fail_at(monkeypatch, child_only, {7})
+        seen = record_pools(monkeypatch, cpu_count=2)
+        forked = run(2)
+        assert seen == [2]
+        assert forked == serial
+        assert np.array_equal(forked.pvalues, serial.pvalues)
         assert_no_child()
 
     def test_empty_blocks_fork_nothing(self, monkeypatch):

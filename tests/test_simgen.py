@@ -427,34 +427,71 @@ class TestSizePowerExperiment:
         assert np.array_equal(a.pvalues, b.pvalues)
         assert a.rejections == b.rejections
 
-    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+    @staticmethod
+    def _record_chunks(monkeypatch, cpu_count):
+        """Patch the CPU count and record (label, blocks) of every forked fill."""
         import os
-        import sys
 
         from gammadep import inference
 
         seen = []
         real_fill = inference._forked_fill
 
-        def recording_fill(fill, rows, blocks):
-            seen.append((sys._getframe(1).f_code.co_name, len(blocks)))
-            return real_fill(fill, rows, blocks)
+        def recording_fill(fill, rows, blocks, label):
+            seen.append((label, len(blocks)))
+            return real_fill(fill, rows, blocks, label)
 
-        # from B n^2 = inference._FORK_MIN_WORK on every replication's
-        # permutation pool splits its permutations over forked workers
-        # (B = 200, n = 200: 8e6, n = 199 is below); n = 12: no fork at all
-        assert 200 * 199**2 < inference._FORK_MIN_WORK <= 200 * 200**2
-        for n, pools in ((200, [("permutation_pool", 2)] * 100), (12, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(inference, "_forked_fill", recording_fill)
+        return seen
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        from gammadep import inference
+
+        # from reps B n^2 = inference._FORK_MIN_WORK on the experiment forks
+        # contiguous replication chunks, and each replication's pool runs
+        # serially in its chunk: at n = 200 (8e8) one fill of 2 chunks and
+        # no pool fork, though one pool's B n^2 = 8e6 alone would fork;
+        # n = 12 (2.9e6): no fork at all
+        assert 100 * 200 * 12**2 < inference._FORK_MIN_WORK <= 200 * 200**2
+        for n, forks in ((200, [("rep", 2)]), (12, [])):
             cfg = SimConfig(model="null-b", n=n, d1=2, d2=2, reps=100, b_count=200, seed=56)
             with monkeypatch.context() as patch:
                 serial = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=1)
-                patch.setattr(os, "cpu_count", lambda: 2)
-                patch.setattr(inference, "_forked_fill", recording_fill)
+                seen = self._record_chunks(patch, cpu_count=2)
                 capped = size_power_experiment(cfg, GammaSet((1, 2)), combiners=("fisher",), threads=8)
-            assert seen == pools
+            assert seen == forks
             assert capped == serial
             assert np.array_equal(capped.pvalues, serial.pvalues)
-            seen.clear()
+
+    def test_thread_invariance_where_the_chunks_fork(self, monkeypatch):
+        from gammadep import inference
+
+        # reps B n^2 = 100 x 200 x 20^2 is the fork threshold
+        assert 100 * 200 * 20**2 == inference._FORK_MIN_WORK
+        cfg = SimConfig(model="null-a", n=20, d1=3, d2=3, reps=100, b_count=200, seed=60)
+        seen = self._record_chunks(monkeypatch, cpu_count=3)
+        tables = [size_power_experiment(cfg, GammaSet.default(), threads=t).pvalues for t in (1, 2, 3)]
+        assert seen == [("rep", 2), ("rep", 3)]
+        assert np.array_equal(tables[0], tables[1])
+        assert np.array_equal(tables[0], tables[2])
+
+    def test_chunks_are_capped_at_the_replication_peaks_that_fit(self, monkeypatch):
+        # chunks share no matrices, so each adds one replication's peak; at
+        # n = 300, B = 1 (9e6) the experiment forks unless memory holds
+        # fewer than two of them, and the table never changes
+        from gammadep import inference, kernels
+
+        cfg = SimConfig(model="null-a", n=300, d1=2, d2=2, reps=100, b_count=1, seed=62)
+        serial = size_power_experiment(cfg, GammaSet((1, 2)), threads=1)
+        one = inference.pool_run_bytes(300, 2, "dcov", 2, 2)
+        for avail, forks in ((int(1.5 * one), []), (int(2.5 * one), [("rep", 2)])):
+            with monkeypatch.context() as patch:
+                seen = self._record_chunks(patch, cpu_count=2)
+                patch.setattr(kernels, "_mem_available", lambda: avail)
+                got = size_power_experiment(cfg, GammaSet((1, 2)), threads=2)
+            assert seen == forks
+            assert np.array_equal(got.pvalues, serial.pvalues)
 
     @pytest.mark.parametrize(
         "combiners, tie_mode",
