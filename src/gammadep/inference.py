@@ -11,18 +11,20 @@ replicate runs only the first two:
    (kernel matrices are built once: permuting y rows permutes the rows and
    columns of B, so each replicate is a row-blocked gather of B against A,
    about 256 KB per block with no n x n temporary, plus O(n) reductions).
-   The rows b = 1..B are filled by ``fill_rows``, the one fork helper:
-   from B times the work of one permutation >= ``_FORK_MIN_WORK`` on
-   (where a forked worker was measured to pay; the work is n^2 for a pair
-   kernel and the (n)_m tuples of an enumeration) they run as
-   ``min(threads, cpu count)`` contiguous blocks: the calling process runs
-   the first and a forked child each other one, reading A and B
-   copy-on-write and writing its rows of mu_hat in place into a pool
-   shared with the parent. Fork is used on Linux only; elsewhere the
-   blocks run serially. The (B+1) x L pool is then scaled once by the rate
-   row ``rate_w(n, gamma)``;
-3. per-exponent p-values, one row per pool member, each column ranked
-   leave-one-out inside the shared pool with the add-one rule;
+   The rows b = 1..B are filled by ``fill_rows``, the one place that
+   decides how many processes walk a stat core: from B times the work of
+   one permutation >= ``_FORK_MIN_WORK`` on (where a forked worker was
+   measured to pay; the work is n^2 for a pair kernel and the (n)_m tuples
+   of an enumeration) they run as ``min(threads, cpu count)`` contiguous
+   blocks, no more than the core's walkers (``walker_bytes`` each) that
+   the memory available holds: the calling process runs the first and a
+   forked child each other one, reading A and B copy-on-write and writing
+   its rows of mu_hat in place into a pool shared with the parent. Fork is
+   used on Linux only; elsewhere the blocks run serially. Row 0 alone is
+   scaled by the rate row ``rate_w(n, gamma)``, for the report;
+3. per-exponent p-values, one row per pool member, each column of mu_hat
+   ranked leave-one-out inside the shared pool with the add-one rule (the
+   rate row is one positive constant per column, so it moves no rank);
 4. combined statistics (fisher / min / cauchy) for every pool member, each
    one reduction over the rows of the step-3 matrix;
 5. combined p-values for every member, by the same ranking of each column
@@ -36,9 +38,10 @@ execution order.
 ``simgen.size_power_experiment`` fills its reps x methods p-value table
 through the same ``fill_rows``: a forked child runs a contiguous chunk of
 replications, each running steps 1-5 with a serial pool, with work counted
-as reps times B times the work of one permutation. Unlike the pool's
-workers, chunks share no matrices, so their count is also capped at the
-replication peaks (``pool_run_bytes``) that the memory available holds.
+as reps times B times the work of one permutation. Chunks share no
+matrices, so their count is capped at the replication peaks
+(``pool_run_bytes``) that the memory available holds, as a pool's walkers
+are capped at their gather bytes.
 """
 
 from __future__ import annotations
@@ -247,12 +250,12 @@ def _pool_pvalues(pool: np.ndarray, tie_mode: str) -> np.ndarray:
 
 def pool_peak_bytes(rows: int, n_gamma: int) -> int:
     """Byte model of the arrays of one pool with ``rows`` = B + 1 members and
-    L = ``n_gamma`` exponents, from its pool to its p-values: mu_hat and
-    its scaled copy (2L columns), the p-values (L + C) and combined
-    statistics (C) of ``permutation_pvalues``, with C every combiner, and
-    at most a combiner's input and two temporaries (3L) or a ranking's sort
+    L = ``n_gamma`` exponents, from its pool to its p-values: mu_hat
+    (L columns), the p-values (L + C) and combined statistics (C) of
+    ``permutation_pvalues``, with C every combiner, and at most a
+    combiner's input and two temporaries (3L) or a ranking's sort
     temporaries (5 columns)."""
-    return 8 * rows * (6 * n_gamma + 2 * len(COMBINERS) + 5)
+    return 8 * rows * (5 * n_gamma + 2 * len(COMBINERS) + 5)
 
 
 def permutation_work(n: int, kind: str) -> int:
@@ -264,30 +267,31 @@ def permutation_work(n: int, kind: str) -> int:
 
 def pool_run_bytes(n: int, d: int, kind: str, rows: int, n_gamma: int) -> int:
     """Byte model of one pool run in one process at n rows of at most d
-    columns a side: its stat core at one worker (``pair_peak_bytes`` or
-    ``enumeration_peak_bytes``) and its ``pool_peak_bytes``."""
+    columns a side: its stat core with its one walker (``pair_peak_bytes``
+    or ``enumeration_peak_bytes``) and its ``pool_peak_bytes``."""
     if kind in PAIR_KERNELS:
-        core = pair_peak_bytes(n, d, 1)
+        core = pair_peak_bytes(n, d)
     else:
-        core = enumeration_peak_bytes(n, KernelPairSpec(kind).m, d, 1)
+        core = enumeration_peak_bytes(n, KernelPairSpec(kind).m, d)
     return core + pool_peak_bytes(rows, n_gamma)
 
 
-def fill_rows(row, shape: tuple, first: int, work: int, threads: int, label: str, worker_bytes: int = 0):
+def fill_rows(row, shape: tuple, first: int, work: int, threads: int, label: str, worker_bytes: int):
     """A float64 table of ``shape`` whose rows i = first.. hold ``row(i)``;
-    rows before ``first`` are left to the caller.
+    rows before ``first`` are left to the caller. The one place that decides
+    how many processes run rows: no byte model counts more than one.
 
     ``work`` counts all those rows as the fork threshold does. From
     ``_FORK_MIN_WORK`` on, the rows run as ``min(threads, cpu count)``
-    contiguous blocks through ``_forked_fill``, in a NaN-filled anonymous
-    mapping shared with the children, on Linux; a positive
-    ``worker_bytes``, the peak one block adds, lowers that count to the
-    blocks that fit side by side in the memory available, at least 1. Else
-    the rows run here in order, into ``np.empty``. ``label`` names a row in
-    a WORKER_FAILED message.
+    contiguous blocks, no more than the blocks of ``worker_bytes`` each,
+    the peak one block adds, that fit side by side in the memory available
+    (``copies_that_fit``, at least 1); more than one block runs through
+    ``_forked_fill``, in a NaN-filled anonymous mapping shared with the
+    children, on Linux. Else the rows run here in order, into ``np.empty``.
+    ``label`` names a row in a WORKER_FAILED message.
     """
     workers = min(threads, os.cpu_count() or 1) if work >= _FORK_MIN_WORK else 1
-    if workers > 1 and worker_bytes > 0:
+    if workers > 1:
         workers = copies_that_fit(worker_bytes, workers)
     forked = workers > 1 and sys.platform == "linux" and hasattr(os, "fork")
     if forked:
@@ -315,11 +319,13 @@ def fill_rows(row, shape: tuple, first: int, work: int, threads: int, label: str
 def permutation_pool(
     sample: Sample, spec: KernelPairSpec, gammas: GammaSet, plan: PermutationPlan, *, threads: int = 1
 ):
-    """Steps 1-2: the stat core, the unpermuted triple, and the (B+1) x L
-    pool of mu_hat, raw and scaled by the rate row. Row 0 is the sample and
-    row b its b-th permutation; a scaled column that is not finite raises
-    NONFINITE. A pool whose ``pool_peak_bytes`` exceed the memory available
-    is refused with TOO_LARGE before the core is built."""
+    """Steps 1-2: the stat core, the unpermuted triple, the (B+1) x L pool
+    of mu_hat, and its row 0 scaled by the rate row. Row 0 is the sample
+    and row b its b-th permutation; a scaled row-0 value that is not finite
+    raises NONFINITE. A pool whose ``pool_peak_bytes`` exceed the memory
+    available is refused with TOO_LARGE before the core is built. The
+    core's ``walker_bytes`` caps the processes that walk it, in
+    ``fill_rows``."""
     n = sample.n
     if n < spec.m:
         raise fail("TOO_SMALL", f"need n >= {spec.m}, got n={n}")
@@ -337,12 +343,12 @@ def permutation_pool(
         b_count * permutation_work(n, spec.id),
         threads,
         "b",
+        core.walker_bytes,
     )
     mu[0] = gamma_stats(triple0, gammas)
-    scaled = mu * np.array([rate_w(n, g) for g in glist])
-    finite = np.isfinite(scaled).all(axis=0)
-    if not finite.all():
-        bad = ", ".join(str(g) for g, ok in zip(glist, finite) if not ok)
+    scaled = mu[0] * np.array([rate_w(n, g) for g in glist])
+    if not np.isfinite(scaled).all():
+        bad = ", ".join(str(g) for g, s in zip(glist, scaled) if not math.isfinite(s))
         raise fail("NONFINITE", f"scaled statistic overflows float64 at gamma {bad}")
     return core, triple0, mu, scaled
 
@@ -397,16 +403,16 @@ def _forked_fill(fill, rows: np.ndarray, blocks: list, label: str) -> None:
             os.waitpid(pid, 0)
 
 
-def permutation_pvalues(scaled: np.ndarray, combiners: tuple, tie_mode: str):
+def permutation_pvalues(mu: np.ndarray, combiners: tuple, tie_mode: str):
     """Steps 3-5 for a checked plan: the (B+1) x (L + C) add-one p-values of
-    every pool member, per exponent then per combiner, and the (B+1) x C
-    combined statistics. The cauchy transform is fed p-values capped at
-    B/(B+1) to stay clear of the tan singularity at 1."""
-    size, n_g = scaled.shape
+    every member of the pool ``mu``, per exponent then per combiner, and
+    the (B+1) x C combined statistics. The cauchy transform is fed p-values
+    capped at B/(B+1) to stay clear of the tan singularity at 1."""
+    size, n_g = mu.shape
     p = np.empty((size, n_g + len(combiners)), dtype=np.float64)
     stats = np.empty((size, len(combiners)), dtype=np.float64)
     for j in range(n_g):
-        p[:, j] = _pool_pvalues(scaled[:, j], tie_mode)
+        p[:, j] = _pool_pvalues(mu[:, j], tie_mode)
     cap = (size - 1) / size
     for k, name in enumerate(combiners):
         feed = np.minimum(p[:, :n_g], cap) if name == "cauchy" else p[:, :n_g]
@@ -429,7 +435,7 @@ def permutation_test(
     pool, its p-values, then the jackknife display and p_asym."""
     combiners = check_plan(combiners, tie_mode)
     core, triple0, mu, scaled = permutation_pool(sample, spec, gammas, plan, threads=threads)
-    p, stats = permutation_pvalues(scaled, combiners, tie_mode)
+    p, stats = permutation_pvalues(mu, combiners, tie_mode)
     n = sample.n
     glist = tuple(gammas)
     combined = {
@@ -452,10 +458,10 @@ def permutation_test(
     for j, g in enumerate(glist):
         p_asym = None
         if has_half_normal_limit(g) and sigma0 is not None:
-            p_asym = asymptotic_pvalue(float(scaled[0, j]), g, sigma0, spec.m)
+            p_asym = asymptotic_pvalue(float(scaled[j]), g, sigma0, spec.m)
         per_gamma[g] = GammaResult(
             mu_hat=float(mu[0, j]),
-            scaled_stat=float(scaled[0, j]),
+            scaled_stat=float(scaled[j]),
             p_perm=float(p[0, j]),
             p_asym=p_asym,
         )

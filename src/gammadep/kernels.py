@@ -15,16 +15,21 @@ therefore holds its output plus one tile, and does about half the subtract
 and multiply-add work of a full n x n pass. ``median_bandwidth`` takes its
 median from that one matrix in place.
 
-``pair_peak_bytes`` models a pair test's peak: the dense A~ with its packed
-row blocks, then those blocks with B~, plus the larger of the tile and the
-live T1 gather blocks. ``check_fits`` is the one memory check: it compares a
-byte model with MemAvailable and refuses a run that cannot fit with
+``pair_peak_bytes`` models the peak of the one process that builds and
+walks a pair: the dense A~ with its packed row blocks, then those blocks
+with B~, plus the larger of the tile and one walker's T1 gather blocks.
+``pair_walker_bytes`` names those gather blocks, the bytes that each extra
+forked walker of the same matrices adds; ``inference.permutation_pool``
+hands it to ``inference.fill_rows``, the one place that decides how many
+processes walk a core. ``check_fits`` is the one memory check: it compares
+a byte model with MemAvailable and refuses a run that cannot fit with
 TOO_LARGE. ``build_pair_matrices`` and the ghsic median pass in
 ``resolve_kernel_spec`` call it on ``pair_peak_bytes`` before their first
 n x n allocation, ``ustat.EnumerationCore`` on its own model before it
 builds a tuple, and ``inference.permutation_pool`` on the pool's before its
 first (B+1)-row array. ``copies_that_fit`` reads the same MemAvailable to
-cap how many forked replication chunks run side by side.
+cap how many forked processes run side by side: a pool's walkers, or
+``simulate``'s replication chunks.
 
 Every statistic here is a U-statistic over distinct indices, so the fast
 paths never read a kernel value at a repeated index. ``build_pair_matrices``
@@ -61,7 +66,6 @@ distance past float range is inf) raises NONFINITE.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -114,29 +118,32 @@ def walk_row_blocks(n: int) -> list:
     return spans
 
 
-def pair_peak_bytes(n: int, d: int, workers: Optional[int] = None) -> int:
-    """Byte model of the peak a pair-kernel test allocates at n rows.
+def pair_walker_bytes(n: int) -> int:
+    """Bytes of the two live T1 gather blocks of one process walking a pair
+    at n rows: together at most 2 x 256 KB, or two rows of n. Each forked
+    walker adds this much; the matrices are shared copy-on-write, not
+    copied."""
+    return 16 * max(n, _GATHER_ELEMS)
+
+
+def pair_peak_bytes(n: int, d: int) -> int:
+    """Byte model of the peak of the one process that builds a pair-kernel
+    test's matrices at n rows and walks them.
 
     The dense A~ (8 n^2 bytes) while its walk blocks are copied out, then
     those blocks while B~ is built and read: both phases hold 8 (n^2 + P)
     bytes, P the elements of the blocks (about n^2 / 2, and n^2 for
     n <= 181, where the one block is a copy of A~). On top of that comes
-    the largest of what is live in turn: the distance tile of the wider side
-    (d columns; 512 KB for d <= 16384) and the two live T1 gather blocks
-    per permutation worker process (together at most 2 x 256 KB, or two
-    rows of n; the matrices are shared copy-on-write, not copied).
-    The buffer that u, p and q rebuild one walk block's rows into holds the
-    block's rows x n, at most 2 max(n, ``_GATHER_ELEMS``) elements, so one
-    worker's gather term covers it. ``workers`` defaults to, and is bounded
-    by, ``os.cpu_count()``. Within a few percent of the traced peak once
-    the matrices dominate.
+    the larger of what is live in turn: the distance tile of the wider side
+    (d columns; 512 KB for d <= 16384) and the walker's gather blocks
+    (``pair_walker_bytes``). The buffer that u, p and q rebuild one walk
+    block's rows into holds the block's rows x n, at most
+    2 max(n, ``_GATHER_ELEMS``) elements, so the walker's term covers it.
+    Within a few percent of the traced peak once the matrices dominate.
     """
-    cpus = os.cpu_count() or 1
-    workers = cpus if workers is None else min(workers, cpus)
     packed = sum((hi - lo) * (n - lo) for lo, hi in walk_row_blocks(n))
-    tile = min(n, _tile_side(d)) ** 2 * d
-    extra = max(tile, 2 * workers * max(n, _GATHER_ELEMS))
-    return 8 * (n * n + packed + extra)
+    tile = 8 * min(n, _tile_side(d)) ** 2 * d
+    return 8 * (n * n + packed) + max(tile, pair_walker_bytes(n))
 
 
 def _mem_available() -> Optional[int]:

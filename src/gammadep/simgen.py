@@ -325,8 +325,8 @@ def size_power_experiment(
         sample = gen_model(cfg, _rng(derive_seed(cfg.seed, 0, rep)))
         spec = resolve_kernel_spec(kind, sample)
         plan = PermutationPlan(cfg.b_count, derive_seed(cfg.seed, 1, rep))
-        *_, scaled = permutation_pool(sample, spec, gammas, plan, threads=1)
-        p, _ = permutation_pvalues(scaled, combiners, tie_mode)
+        _, _, mu, _ = permutation_pool(sample, spec, gammas, plan, threads=1)
+        p, _ = permutation_pvalues(mu, combiners, tie_mode)
         return p[0]
 
     pvals = fill_rows(replication, (cfg.reps, len(methods)), 0, work, threads, "rep", peak)

@@ -48,14 +48,13 @@ constants of the closed forms are taken once per ``PairStatCore``.
 from __future__ import annotations
 
 import math
-import os
 from typing import Optional
 
 import numpy as np
 
 from .data_model import KernelPairSpec, Sample, StatTriple
 from .errors import fail
-from .kernels import F1, F2, PairKernelMatrices, build_pair_matrices, check_fits, value_table
+from .kernels import F1, F2, PairKernelMatrices, build_pair_matrices, check_fits, pair_walker_bytes, value_table
 
 # Ceiling on the ordered tuples one enumeration takes: n <= 57 for the pair
 # kernels and n <= 27 for the angle kernel. Below it, the byte model is
@@ -79,25 +78,29 @@ def _tuple_columns(n: int, m: int) -> tuple:
     return tuple(cols)
 
 
-def enumeration_peak_bytes(n: int, m: int, d: int, workers: Optional[int] = None) -> int:
-    """Byte model of the peak of an ``EnumerationCore`` at n rows of at most
-    d columns a side, with its triples and the brute jackknife.
+def enumeration_walker_bytes(n: int, m: int) -> int:
+    """Bytes one process adds while it reads an ``EnumerationCore`` of n rows
+    and m-tuples: two arrays of (n)_m values (a triple's gather and its
+    product with f1, or the jackknife's two gathers) and, for a permuted
+    triple, its permuted y table of n^(m-2) values. Each forked walker adds
+    this much; the core itself is read copy-on-write, not copied."""
+    return 8 * (2 * math.perm(n, m) + n ** (m - 2))
+
+
+def enumeration_peak_bytes(n: int, m: int, d: int) -> int:
+    """Byte model of the peak of the one process that builds an
+    ``EnumerationCore`` at n rows of at most d columns a side and reads it,
+    with its triples and the brute jackknife.
 
     The core holds its m tuple columns and its gathered f1, 8 (m + 1) (n)_m
-    bytes, and its two value tables of n^(m-2) values each. Each process
-    that reads it adds two arrays of (n)_m values (a triple's gather and
-    its product with f1, or the jackknife's two gathers) and, for a
-    permuted triple, its permuted y table; the forked permutation workers
-    read the core copy-on-write, not copying it. Before the tuples are
-    built, ``value_table`` evaluates each side's (count, m, d) block of
-    argument tuples, with up to two more (count, d) differences.
-    ``workers`` defaults to, and is bounded by, ``os.cpu_count()``.
+    bytes, and its two value tables of n^(m-2) values each; the reading
+    process adds ``enumeration_walker_bytes``. Before the tuples are built,
+    ``value_table`` evaluates each side's (count, m, d) block of argument
+    tuples, with up to two more (count, d) differences.
     """
-    cpus = os.cpu_count() or 1
-    workers = cpus if workers is None else min(workers, cpus)
-    table = n ** (m - 2)
     block = math.comb(n, 2) * n ** (m - 4) * (m + 2) * d
-    return 8 * (math.perm(n, m) * (m + 1 + 2 * workers) + table * (2 + workers) + block)
+    core = 8 * (math.perm(n, m) * (m + 1) + 2 * n ** (m - 2) + block)
+    return core + enumeration_walker_bytes(n, m)
 
 
 class EnumerationCore:
@@ -112,7 +115,8 @@ class EnumerationCore:
     set of gathers over these tuples. The constructor refuses, before it
     builds anything, n < m (TOO_SMALL), more than ``_MAX_TUPLES`` tuples
     and a byte model (``enumeration_peak_bytes``) past the memory
-    available (both TOO_LARGE).
+    available (both TOO_LARGE). ``walker_bytes`` is what each extra process
+    reading it adds (``enumeration_walker_bytes``).
     """
 
     def __init__(self, sample: Sample, spec: KernelPairSpec):
@@ -126,6 +130,7 @@ class EnumerationCore:
         check_fits(enumeration_peak_bytes(n, m, max(sample.d1, sample.d2)), f"an enumeration of n={n} rows")
         self.spec = spec
         self.n = n
+        self.walker_bytes = enumeration_walker_bytes(n, m)
         self.tuples = _tuple_columns(n, m)
         t0, t1 = self.tuples[:2]
         self.f1 = value_table(spec, F1, sample.x)[(t0, t1) + self.tuples[4:]]
@@ -161,7 +166,8 @@ class PairStatCore:
     ``PairKernelMatrices.permuted_sums`` returns, whose T1 walk holds at
     most 512 KB live and builds no n x n temporary. The totals survive a
     permutation of the y rows, so A.. B.. and the falling factorials of n
-    are taken once, here."""
+    are taken once, here. ``walker_bytes`` is what each extra process
+    walking it adds (``kernels.pair_walker_bytes``)."""
 
     def __init__(self, mats: PairKernelMatrices):
         n = mats.n
@@ -169,6 +175,7 @@ class PairStatCore:
             raise fail("TOO_SMALL", f"need n >= 4, got n={n}")
         self.mats = mats
         self.n = n
+        self.walker_bytes = pair_walker_bytes(n)
         self._pairs = n * (n - 1)
         self._triples = n * (n - 1) * (n - 2)
         self._quads = math.perm(n, 4)

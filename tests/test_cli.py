@@ -363,14 +363,16 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("kernel", ["dcov", "ghsic"])
     def test_memory_guard_exit_code(self, csv_file, tmp_path, monkeypatch, capsys, kernel):
-        # 1 MB available is below two 100 x 100 matrices plus the fixed
-        # tile and gather blocks; a missing meminfo skips the check
+        # 512 kB available is below the one process's model at n = 100,
+        # d = 3: two 100 x 100 matrices plus one walker's gather blocks
+        # (684,288 B); a missing meminfo skips the check
         args = ["test", "--input", csv_file, "--x-cols", "0..3", "--y-cols", "3..6",
                 "--B", "9", "--seed", "1", "--kernel", kernel, "--reproducible"]
+        assert kernels.pair_peak_bytes(100, 3) == 684_288 > 512 * 1024
         assert main(args) == EXIT_OK
         expected = capsys.readouterr().out
         meminfo = tmp_path / "meminfo"
-        meminfo.write_text("MemTotal: 4096 kB\nMemAvailable: 1024 kB\n", encoding="ascii")
+        meminfo.write_text("MemTotal: 4096 kB\nMemAvailable: 512 kB\n", encoding="ascii")
         monkeypatch.setattr(kernels, "_MEMINFO", str(meminfo))
         assert main(args) == EXIT_DATA
         assert "TOO_LARGE" in capsys.readouterr().err

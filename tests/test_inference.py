@@ -455,6 +455,27 @@ class TestPermutationTest:
         assert seen == [2]
         assert capped == serial
 
+    def test_walkers_are_capped_at_the_gather_blocks_that_fit(self, monkeypatch):
+        # B n^2 = 800 x 100^2 forks unless memory holds fewer than two
+        # walkers' gather blocks; memory for the one-process model alone
+        # runs the pool serially, refused by no check, and the report never
+        # changes
+        n, b_count = 100, 800
+        assert b_count * n**2 == _FORK_MIN_WORK
+        sample = small_sample(16, n=n)
+        spec, gammas = KernelPairSpec.dcov(), GammaSet((1, 2))
+        serial = permutation_test(sample, spec, gammas, PermutationPlan(b_count, 9), threads=1)
+        one = inference.pool_run_bytes(n, 2, "dcov", b_count + 1, 2)
+        two = 2 * kernels.pair_walker_bytes(n)
+        assert one < two
+        for avail, pools in ((one, []), (two, [2])):
+            with monkeypatch.context() as patch:
+                seen = record_pools(patch, cpu_count=2)
+                patch.setattr(kernels, "_mem_available", lambda: avail)
+                assert permutation_test(sample, spec, gammas, PermutationPlan(b_count, 9), threads=2) == serial
+            assert seen == pools
+        assert_no_child()
+
     def test_fork_threshold_boundary(self, monkeypatch):
         # B n^2 at n = 200: B = 199 is just below the threshold, B = 200 at it
         assert 200 * 200**2 == _FORK_MIN_WORK
@@ -809,9 +830,37 @@ class TestForkedWorkers:
         assert done.returncode == 0, done.stderr.decode()
 
 
+def exact_uv(xy, plan):
+    """(u, v) of every pool member in exact arithmetic, for dcov on integer
+    d = 1 data given as two lists: row 0 is the sample and row b its b-th
+    permutation under ``plan``."""
+    n = len(xy[0])
+    a = np.abs(np.subtract.outer(xy[0], xy[0]))
+    b = np.abs(np.subtract.outer(xy[1], xy[1]))
+    r, c = a.sum(axis=1), b.sum(axis=1)
+    ab = int(r.sum()) * int(c.sum())
+    exact = []
+    for k in range(plan.b_count + 1):
+        perm = np.arange(n) if k == 0 else plan.permutation(k, n)
+        t1 = int((a * b[np.ix_(perm, perm)]).sum())
+        sig3 = int(r @ c[perm]) - t1
+        s1 = Fraction(t1, n * (n - 1))
+        s3 = Fraction(sig3, n * (n - 1) * (n - 2))
+        s2 = Fraction(ab - 4 * sig3 - 2 * t1, math.perm(n, 4))
+        exact.append((s1 - s3, s2 - s3))
+    return exact
+
+
+def exact_rank_pvalues(pool, tie_mode):
+    """The add-one p-value of every member of an exact pool."""
+    return [add_one_p_of_member_zero([s] + pool[:i] + pool[i + 1 :], tie_mode) for i, s in enumerate(pool)]
+
+
 class TestPoolProperties:
     """Exact laws of the permutation pool and its p-values, for dcov at the
-    two exponents whose metric takes no inexact root (u + v and max(u, v))."""
+    two exponents whose metric takes no inexact root (u + v and max(u, v)).
+    At a finite gamma >= 2, u^gamma + v^gamma is rounded more than once, so
+    the tie law does not hold there; two recorded cases say so."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @example(xy=([0] * 7 + [1], [0] * 7 + [3]), b_count=1, seed=0)
@@ -827,34 +876,35 @@ class TestPoolProperties:
         # integer in float64, so the pool's p-values, ties included, must
         # equal the ranks of u + v and max(u, v) taken in exact arithmetic
         x, y = (np.array(col, dtype=np.float64).reshape(-1, 1) for col in xy)
-        n = len(x)
         plan = PermutationPlan(b_count, seed)
         gammas = GammaSet((1, INFINITY))
-        *_, scaled = permutation_pool(validate_sample(x, y), KernelPairSpec.dcov(), gammas, plan)
-
-        a = np.abs(np.subtract.outer(xy[0], xy[0]))
-        b = np.abs(np.subtract.outer(xy[1], xy[1]))
-        r, c = a.sum(axis=1), b.sum(axis=1)
-        ab = int(r.sum()) * int(c.sum())
-        exact = []
-        for k in range(b_count + 1):
-            perm = np.arange(n) if k == 0 else plan.permutation(k, n)
-            t1 = int((a * b[np.ix_(perm, perm)]).sum())
-            sig3 = int(r @ c[perm]) - t1
-            s1 = Fraction(t1, n * (n - 1))
-            s3 = Fraction(sig3, n * (n - 1) * (n - 2))
-            s2 = Fraction(ab - 4 * sig3 - 2 * t1, math.perm(n, 4))
-            u, v = s1 - s3, s2 - s3
-            exact.append((u + v, max(u, v)))
+        _, _, mu, _ = permutation_pool(validate_sample(x, y), KernelPairSpec.dcov(), gammas, plan)
+        exact = [(u + v, max(u, v)) for u, v in exact_uv(xy, plan)]
         for tie_mode in ("strict", "inclusive"):
-            p, _ = permutation_pvalues(scaled, (), tie_mode)
+            p, _ = permutation_pvalues(mu, (), tie_mode)
             for j in range(2):
-                pool = [e[j] for e in exact]
-                want = [
-                    add_one_p_of_member_zero([s] + pool[:i] + pool[i + 1 :], tie_mode)
-                    for i, s in enumerate(pool)
-                ]
-                assert p[:, j].tolist() == want
+                assert p[:, j].tolist() == exact_rank_pvalues([e[j] for e in exact], tie_mode)
+
+    @pytest.mark.xfail(strict=True, reason="u^gamma + v^gamma rounds more than once and splits an exact tie")
+    @pytest.mark.parametrize("tie_mode", ["strict", "inclusive"])
+    @pytest.mark.parametrize(
+        "gamma, xy, b_count, seed",
+        [
+            (2, ([-3, 1, -2, 2, 3, 3], [-2, 0, 1, 3, 0, 0]), 20, 7578316150414123103),
+            (3, ([-2, -3, -2, 3, 1, 0, 0], [-2, -3, 1, 3, 0, -2, -2]), 39, 4530362460380363837),
+        ],
+        ids=["gamma2", "gamma3"],
+    )
+    def test_finite_gamma_above_one_can_split_an_exact_tie(self, gamma, xy, b_count, seed, tie_mode):
+        # the gamma = 2 case: two members with exact u^2 + v^2 = 61/810 get
+        # mu_2 one ulp apart; the gamma = 3 case: the strict p at b = 28 is
+        # 0.45 where the exact rank gives 0.425
+        x, y = (np.array(col, dtype=np.float64).reshape(-1, 1) for col in xy)
+        plan = PermutationPlan(b_count, seed)
+        _, _, mu, _ = permutation_pool(validate_sample(x, y), KernelPairSpec.dcov(), GammaSet((gamma,)), plan)
+        p, _ = permutation_pvalues(mu, (), tie_mode)
+        exact = [u**gamma + v**gamma for u, v in exact_uv(xy, plan)]
+        assert p[:, 0].tolist() == exact_rank_pvalues(exact, tie_mode)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -875,15 +925,15 @@ class TestPoolProperties:
         gammas = GammaSet((1, INFINITY))
         plan = PermutationPlan(b_count, data_seed)
         spec = KernelPairSpec.dcov()
-        _, base, _, base_scaled = permutation_pool(validate_sample(x, y), spec, gammas, plan)
-        _, moved, _, moved_scaled = permutation_pool(
+        _, base, base_mu, _ = permutation_pool(validate_sample(x, y), spec, gammas, plan)
+        _, moved, moved_mu, _ = permutation_pool(
             validate_sample(np.ldexp(x, k1), np.ldexp(y, k2)), spec, gammas, plan
         )
         for name in ("s1", "s2", "s3"):
             assert getattr(moved, name) == math.ldexp(getattr(base, name), k1 + k2)
         for tie_mode in ("strict", "inclusive"):
-            want = permutation_pvalues(base_scaled, COMBINERS, tie_mode)[0]
-            assert np.array_equal(permutation_pvalues(moved_scaled, COMBINERS, tie_mode)[0], want)
+            want = permutation_pvalues(base_mu, COMBINERS, tie_mode)[0]
+            assert np.array_equal(permutation_pvalues(moved_mu, COMBINERS, tie_mode)[0], want)
 
 
 # report_to_dict of one dcov permutation_test, recorded before the test was
@@ -1012,7 +1062,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("n", [600, 1000, 1500])
     def test_byte_model_matches_traced_peak(self, n):
-        # one worker, as threads=1 runs the permutations
+        # the one process that builds and walks the pair, as threads=1 runs
         rng = np.random.default_rng(35)
         s = validate_sample(rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
 
@@ -1020,7 +1070,7 @@ class TestMemory:
             permutation_test(s, KernelPairSpec.dcov(), GammaSet.default(), PermutationPlan(5, 3), threads=1)
 
         traced = peak_nxn(run, n) * 8.0 * n * n
-        assert abs(pair_peak_bytes(n, 1, workers=1) / traced - 1.0) <= 0.1
+        assert abs(pair_peak_bytes(n, 1) / traced - 1.0) <= 0.1
 
     @pytest.mark.parametrize("gammas", [GammaSet.default(), GammaSet((2,))], ids=["seven", "one"])
     def test_pool_model_bounds_the_traced_peak(self, gammas):

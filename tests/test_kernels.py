@@ -31,6 +31,7 @@ from gammadep.kernels import (
     build_pair_matrices,
     pack_rows,
     pair_peak_bytes,
+    pair_walker_bytes,
     resolve_kernel_spec,
     value_table,
     walk_row_blocks,
@@ -282,23 +283,18 @@ class TestMemoryGuard:
 
     def test_model(self):
         # one n x n matrix and A~'s packed blocks, plus the larger of one
-        # tile and two gather blocks per worker
-        cpus = os.cpu_count() or 1
+        # tile and the one walker's two gather blocks
         tile = min(1000, math.isqrt(_TILE_ELEMS // 5)) ** 2 * 5
         assert 0.5 * 1000**2 < self.packed(1000) < 0.53 * 1000**2
-        assert pair_peak_bytes(1000, 5, workers=1) == 8 * (
-            1000**2 + self.packed(1000) + max(tile, 2 * _GATHER_ELEMS)
-        )
-        assert pair_peak_bytes(1000, 5) == pair_peak_bytes(1000, 5, workers=cpus)
-        assert pair_peak_bytes(1000, 5, workers=cpus + 3) == pair_peak_bytes(1000, 5)
+        assert pair_walker_bytes(1000) == 8 * 2 * _GATHER_ELEMS
+        assert pair_peak_bytes(1000, 5) == 8 * (1000**2 + self.packed(1000) + max(tile, 2 * _GATHER_ELEMS))
         # for n <= 181 the one block is A~ itself: two n x n matrices
         assert self.packed(181) == 181**2
-        assert pair_peak_bytes(181, 1, workers=1) == 8 * (2 * 181**2 + 2 * _GATHER_ELEMS)
-        # for n > _GATHER_ELEMS a gather block is one row of n, and one
-        # worker's two rows of n are the largest extra
-        assert pair_peak_bytes(40000, 1, workers=1) == 8 * (
-            40000**2 + self.packed(40000) + 2 * 40000
-        )
+        assert pair_peak_bytes(181, 1) == 8 * (2 * 181**2 + 2 * _GATHER_ELEMS)
+        # for n > _GATHER_ELEMS a gather block is one row of n, and the
+        # walker's two rows of n are the largest extra
+        assert pair_walker_bytes(40000) == 8 * 2 * 40000
+        assert pair_peak_bytes(40000, 1) == 8 * (40000**2 + self.packed(40000) + 2 * 40000)
 
     def test_rebuild_buffer_fits_in_one_worker_gather_term(self):
         # u, p and q rebuild one walk block's rows x n at a time, so the
@@ -314,7 +310,7 @@ class TestMemoryGuard:
     def test_packing_admits_a_larger_n(self):
         # about 1.5 n x n matrices, not two (16 n^2 bytes)
         for n in (2000, 20000):
-            assert pair_peak_bytes(n, 5, workers=2) < 0.77 * 16 * n * n
+            assert pair_peak_bytes(n, 5) < 0.77 * 16 * n * n
 
     def test_too_small_refuses_before_allocating(self, tmp_path, monkeypatch):
         s = self.sample()

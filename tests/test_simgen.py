@@ -493,6 +493,24 @@ class TestSizePowerExperiment:
             assert seen == forks
             assert np.array_equal(got.pvalues, serial.pvalues)
 
+    def test_a_serial_replication_is_admitted_on_its_one_process_model(self, monkeypatch):
+        # each replication's pool runs in one process, so the pair's check
+        # counts one walker whatever the CPU count: at 1.5x one
+        # replication's peak (``pool_run_bytes``) a threads=1 experiment
+        # gives the unpatched table, not TOO_LARGE for a walker it never
+        # starts
+        from gammadep import inference, kernels
+
+        cfg = SimConfig(model="null-a", n=20, d1=2, d2=2, reps=100, b_count=19, seed=63)
+        want = size_power_experiment(cfg, GammaSet((1, 2)), threads=1)
+        avail = int(1.5 * inference.pool_run_bytes(20, 2, "dcov", 20, 2))
+        seen = self._record_chunks(monkeypatch, cpu_count=2)
+        monkeypatch.setattr(kernels, "_mem_available", lambda: avail)
+        got = size_power_experiment(cfg, GammaSet((1, 2)), threads=1)
+        assert seen == []
+        assert got == want
+        assert np.array_equal(got.pvalues, want.pvalues)
+
     @pytest.mark.parametrize(
         "combiners, tie_mode",
         [(("fisher", "max"), "strict"), (("min", "min"), "strict"), (("fisher",), "ties-up")],

@@ -6,7 +6,6 @@ enumerator is gated on pure-Python loops written in this file.
 import contextlib
 import itertools
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -26,7 +25,13 @@ from gammadep import (
     validate_sample,
 )
 from gammadep import kernels, ustat
-from gammadep.ustat import EnumerationCore, PairStatCore, _tuple_columns, enumeration_peak_bytes
+from gammadep.ustat import (
+    EnumerationCore,
+    PairStatCore,
+    _tuple_columns,
+    enumeration_peak_bytes,
+    enumeration_walker_bytes,
+)
 from gammadep.variance import jackknife_brute
 
 
@@ -508,15 +513,16 @@ class TestEnumerationMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-        model = enumeration_peak_bytes(n, spec.m, 2, workers=1)
+        model = enumeration_peak_bytes(n, spec.m, 2)
         assert 0.8 * model <= max(peaks) <= model
 
     def test_model_counts_two_arrays_per_worker(self):
+        # each walker reads two (n)_m arrays and a permuted y table; the
+        # model of the one process counts its own walker once
         tuples = math.perm(20, 5)
-        one, two = (enumeration_peak_bytes(20, 5, 1, workers=w) for w in (1, 2))
-        assert two - one == 8 * (2 * tuples + 20**3)
-        cpus = os.cpu_count() or 1
-        assert enumeration_peak_bytes(20, 5, 1) == enumeration_peak_bytes(20, 5, 1, workers=cpus + 3)
+        assert enumeration_walker_bytes(20, 5) == 8 * (2 * tuples + 20**3)
+        core = 8 * (6 * tuples + 2 * 20**3 + math.comb(20, 2) * 20 * 7)
+        assert enumeration_peak_bytes(20, 5, 1) == core + enumeration_walker_bytes(20, 5)
 
     def test_too_large_for_memory_is_refused_before_building(self, tmp_path, monkeypatch):
         # 1 MB available: the largest sizes under the ceiling are refused
